@@ -6,7 +6,7 @@
 // Usage:
 //
 //	dmcd -addr :7117
-//	dmcd -addr :7117 -shards 4 -batch-window 500us -queue 2048
+//	dmcd -addr :7117 -shards 4 -max-batch 128 -queue 2048
 //	dmcd -addr :7117 -state-dir /var/lib/dmcd -repl-ack sync
 //	dmcd -addr :7118 -state-dir /var/lib/dmcd-standby -follow http://primary:7117
 //
@@ -101,7 +101,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var (
 		addr        = fs.String("addr", ":7117", "listen address")
 		shards      = fs.Int("shards", 0, "warm-pool shards (0 = GOMAXPROCS)")
-		batchWindow = fs.Duration("batch-window", 0, "wave coalescing window (0 = 500µs, negative = none)")
 		maxBatch    = fs.Int("max-batch", 0, "max solves per wave (0 = 256)")
 		queue       = fs.Int("queue", 0, "admitted-task queue bound per shard (0 = 1024)")
 		estTol      = fs.Float64("est-tol", 0, "estimator re-solve drift tolerance (0 = adaptor default)")
@@ -133,7 +132,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	cfg := serve.Config{
 		Shards:           *shards,
-		BatchWindow:      *batchWindow,
 		MaxBatch:         *maxBatch,
 		MaxQueue:         *queue,
 		EstimatorRelTol:  *estTol,

@@ -211,10 +211,10 @@ type (
 
 // Serving (the cmd/dmcd online solver service).
 type (
-	// ServeConfig tunes a served solver fleet: shard count, wave
-	// coalescing window and batch cap, admission queue bound, and the
-	// estimator feeds' drift tolerance. The zero value selects
-	// production defaults.
+	// ServeConfig tunes a served solver fleet: shard count, wave batch
+	// cap (a wave is what was queued when the shard worker woke, capped
+	// at MaxBatch), admission queue bound, and the estimator feeds'
+	// drift tolerance. The zero value selects production defaults.
 	ServeConfig = serve.Config
 	// Server is the online solver service: sharded WarmPools answering
 	// session-keyed solve/observe requests over HTTP/JSON, with

@@ -52,7 +52,7 @@ func sumShards(m Metrics, f func(ShardMetrics) uint64) uint64 {
 // and let the session warm back up afterwards.
 func TestSolverPanicIsolatedAndQuarantined(t *testing.T) {
 	defer fault.Deactivate()
-	srv, base := newTestServer(t, Config{Shards: 1, BatchWindow: -1})
+	srv, base := newTestServer(t, Config{Shards: 1})
 	rng := rand.New(rand.NewPCG(0xfa01, 1))
 	wire := testNetwork(rng, 3)
 
@@ -103,7 +103,7 @@ func TestSolverPanicIsolatedAndQuarantined(t *testing.T) {
 // work, and counted in shed_expired.
 func TestBudgetExpiredShed(t *testing.T) {
 	defer fault.Deactivate()
-	srv, base := newTestServer(t, Config{Shards: 1, BatchWindow: -1, MaxBatch: 1})
+	srv, base := newTestServer(t, Config{Shards: 1, MaxBatch: 1})
 	rng := rand.New(rand.NewPCG(0xfa02, 1))
 	wire := testNetwork(rng, 2)
 
@@ -153,7 +153,7 @@ func TestBudgetExpiredShed(t *testing.T) {
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	defer fault.Deactivate()
 	srv, base := newTestServer(t, Config{
-		Shards: 1, BatchWindow: -1,
+		Shards:           1,
 		BreakerThreshold: 3, BreakerCooldown: 100 * time.Millisecond,
 	})
 	rng := rand.New(rand.NewPCG(0xfa03, 1))
@@ -217,7 +217,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 func TestBreakerServesDegraded(t *testing.T) {
 	defer fault.Deactivate()
 	srv, base := newTestServer(t, Config{
-		Shards: 1, BatchWindow: -1,
+		Shards:           1,
 		BreakerThreshold: 2, BreakerCooldown: time.Hour, // stays open for the whole test
 		ServeDegraded: true,
 	})
@@ -265,7 +265,7 @@ func TestBreakerServesDegraded(t *testing.T) {
 // queues must not cost a solve; the wave sheds it and counts abandoned.
 func TestAbandonedTasksShed(t *testing.T) {
 	defer fault.Deactivate()
-	srv, base := newTestServer(t, Config{Shards: 1, BatchWindow: -1, MaxBatch: 1})
+	srv, base := newTestServer(t, Config{Shards: 1, MaxBatch: 1})
 	rng := rand.New(rand.NewPCG(0xfa05, 1))
 	wire := testNetwork(rng, 2)
 

@@ -8,12 +8,15 @@
 //
 // Request flow: a session ID hashes onto a shard, whose bounded queue
 // either admits the task or rejects it (HTTP 429 + Retry-After). The
-// shard's worker collects admitted tasks into a wave — up to MaxBatch
-// tasks within BatchWindow — and fans the wave across the worker pool,
-// each task re-solving on the session's warm solver (basis and column
-// affinity survive fleet churn because the pool is keyed, not
-// positional). Estimator sessions route through their Adaptor instead,
-// which re-solves only when the fed estimates drift.
+// shard's worker wakes on a task and takes whatever else is already
+// queued into a wave — up to MaxBatch tasks, never waiting for later
+// arrivals — and fans the wave across the worker pool, each task
+// re-solving on the session's warm solver (basis and column affinity
+// survive fleet churn because the pool is keyed, not positional).
+// Tasks arriving while a wave runs form the next one, so batches grow
+// with load and an idle shard solves on arrival. Estimator sessions
+// route through their Adaptor instead, which re-solves only when the
+// fed estimates drift.
 package serve
 
 import (
@@ -45,11 +48,9 @@ type Config struct {
 	// Shards is the number of independent WarmPool shards (sessions
 	// hash onto one by ID). Zero means GOMAXPROCS.
 	Shards int
-	// BatchWindow is how long a wave waits to coalesce more requests
-	// after its first. Zero means 500µs; negative disables waiting
-	// (a wave takes only what is already queued).
-	BatchWindow time.Duration
-	// MaxBatch caps tasks per wave. Zero means 256.
+	// MaxBatch caps tasks per wave. A wave is what was queued when the
+	// shard worker woke, capped at MaxBatch; the rest waits for the
+	// next wave. Zero means 256.
 	MaxBatch int
 	// MaxQueue bounds each shard's admitted-task queue; a full queue
 	// rejects with 429 + Retry-After. Zero means 1024.
@@ -119,9 +120,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 500 * time.Microsecond
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
@@ -840,10 +838,10 @@ func (s *Server) stop() bool {
 	return true
 }
 
-// runShard is the shard worker: block for a first task, coalesce a
-// wave around it, execute, repeat. On stop it drains everything already
-// admitted before exiting — graceful shutdown never abandons an
-// admitted task.
+// runShard is the shard worker: block for a first task, gather what
+// else is queued into a wave, execute, repeat. On stop it drains
+// everything already admitted before exiting — graceful shutdown never
+// abandons an admitted task.
 func (s *Server) runShard(sh *shard) {
 	defer s.wg.Done()
 	for {
@@ -890,53 +888,23 @@ func (s *Server) safeWave(sh *shard, first *task) {
 	s.wave(sh, first)
 }
 
-// wave coalesces up to MaxBatch tasks — waiting at most BatchWindow for
-// stragglers, but firing early once arrivals go quiet for a quarter
-// window (callers blocked on this wave's results cannot send more, so
-// idling out the full window would only add latency) — and solves them
-// as one batch across the worker pool. Per-session warm affinity comes
-// from the keyed pool, so which wave a task lands in never affects its
-// result, only its latency.
+// wave solves first plus whatever else was already queued when the
+// worker woke, up to MaxBatch tasks, as one batch across the worker
+// pool. It never waits for a later arrival: tasks that arrive while a
+// wave runs queue up and form the next one, so concurrent load still
+// coalesces while an idle shard solves on arrival. Per-session warm
+// affinity comes from the keyed pool, so which wave a task lands in
+// never affects its result, only its latency.
 func (s *Server) wave(sh *shard, first *task) {
 	batch := append(sh.batch[:0], first)
-	if s.cfg.BatchWindow > 0 {
-		gapD := s.cfg.BatchWindow / 4
-		if gapD <= 0 {
-			gapD = s.cfg.BatchWindow
+collect:
+	for len(batch) < s.cfg.MaxBatch {
+		select {
+		case t := <-sh.reqs:
+			batch = append(batch, t)
+		default:
+			break collect
 		}
-		total := time.NewTimer(s.cfg.BatchWindow)
-		gap := time.NewTimer(gapD)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case t := <-sh.reqs:
-				batch = append(batch, t)
-				if !gap.Stop() {
-					<-gap.C
-				}
-				gap.Reset(gapD)
-			case <-gap.C:
-				break collect
-			case <-total.C:
-				break collect
-			case <-sh.stop:
-				// Shutdown cuts the window short; the queue's remainder
-				// drains in runShard's stop loop.
-				break collect
-			}
-		}
-		total.Stop()
-		gap.Stop()
-	} else {
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case t := <-sh.reqs:
-				batch = append(batch, t)
-			default:
-				goto full
-			}
-		}
-	full:
 	}
 	sh.batch = batch
 	sh.met.waves.Add(1)

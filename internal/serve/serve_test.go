@@ -16,6 +16,7 @@ import (
 
 	"dmc/internal/core"
 	"dmc/internal/estimate"
+	"dmc/internal/fault"
 	"dmc/internal/scenario"
 )
 
@@ -119,7 +120,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 // Resolve trajectory to 1e-6 and that every re-solve after the first
 // round is served warm from the session's keyed solver.
 func TestServeFleetDrift(t *testing.T) {
-	srv, base := newTestServer(t, Config{Shards: 4, BatchWindow: time.Millisecond})
+	// A wave takes only what queued while its worker was busy, and these
+	// solves take microseconds: a 1ms serve.exec latency fault gives each
+	// one the duration of a heavy solve, so the concurrent rounds queue
+	// up behind it and coalesce.
+	defer fault.Deactivate()
+	fault.Activate(always("serve.exec", fault.Latency, time.Millisecond))
+	srv, base := newTestServer(t, Config{Shards: 4})
 	rng := rand.New(rand.NewPCG(7, 1))
 
 	const fleet = 64
@@ -473,11 +480,92 @@ func TestEnqueueAfterClose(t *testing.T) {
 	}
 }
 
+// holdShard parks shard 0's worker inside a first solve on a serve.exec
+// latency fault, queues n more solves behind it, and waits until all n
+// sit in the shard queue. The returned function waits for every
+// response and returns the statuses and bodies, the held solve first.
+// The caller deactivates the fault.
+func holdShard(t *testing.T, srv *Server, url string, wire scenario.Network, n int, hold time.Duration) func() ([]int, [][]byte) {
+	t.Helper()
+	fault.Activate(always("serve.exec", fault.Latency, hold))
+	statuses := make([]int, n+1)
+	bodies := make([][]byte, n+1)
+	var wg sync.WaitGroup
+	post := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf, _ := json.Marshal(scenario.SolveRequest{
+				Solve:     scenario.Solve{Network: wire},
+				SessionID: fmt.Sprintf("held-%d", i),
+			})
+			resp, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(buf))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			bodies[i], _ = io.ReadAll(resp.Body)
+		}()
+	}
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	post(0)
+	waitFor("the first solve to reach exec", func() bool { return fault.Stats()["serve.exec"].Fired >= 1 })
+	for i := 1; i <= n; i++ {
+		post(i)
+	}
+	waitFor(fmt.Sprintf("%d queued tasks", n), func() bool { return srv.Metrics().Shards[0].QueueDepth == n })
+	return func() ([]int, [][]byte) {
+		wg.Wait()
+		return statuses, bodies
+	}
+}
+
+// TestServeWaveCoalescesWhileBusy checks natural batching: tasks that
+// queue while the shard worker is busy form the next wave together (no
+// timer needed to coalesce them), split into waves of at most MaxBatch.
+func TestServeWaveCoalescesWhileBusy(t *testing.T) {
+	defer fault.Deactivate()
+	const n = 8
+	for _, tc := range []struct{ maxBatch, queuedWaves int }{
+		{0, 1}, // default cap (256) ≥ n: one wave takes the whole queue
+		{3, 3}, // ⌈8/3⌉
+	} {
+		t.Run(fmt.Sprintf("max-batch=%d", tc.maxBatch), func(t *testing.T) {
+			srv, base := newTestServer(t, Config{Shards: 1, MaxBatch: tc.maxBatch})
+			wire := testNetwork(rand.New(rand.NewPCG(11, 3)), 3)
+			wait := holdShard(t, srv, base, wire, n, 100*time.Millisecond)
+			fault.Deactivate()
+			statuses, bodies := wait()
+			for i, st := range statuses {
+				if st != http.StatusOK {
+					t.Errorf("request %d: status %d: %s", i, st, bodies[i])
+				}
+			}
+			sm := metricsFor(t, base).Shards[0]
+			if sm.Solves != n+1 {
+				t.Errorf("solves = %d, want %d", sm.Solves, n+1)
+			}
+			if want := uint64(1 + tc.queuedWaves); sm.Waves != want {
+				t.Errorf("waves = %d, want %d (the held solve alone, then the queue in waves of ≤%d)", sm.Waves, want, srv.cfg.MaxBatch)
+			}
+		})
+	}
+}
+
 // TestServeGracefulShutdown checks Close drains in-flight waves: every
 // request admitted before Close still gets its solution, and requests
 // after Close get 503.
 func TestServeGracefulShutdown(t *testing.T) {
-	srv, err := New(Config{Shards: 1, BatchWindow: 200 * time.Millisecond, MaxBatch: 64})
+	defer fault.Deactivate()
+	srv, err := New(Config{Shards: 1, MaxBatch: 64})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -486,27 +574,13 @@ func TestServeGracefulShutdown(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
 	wire := testNetwork(rng, 3)
 
-	const n = 8
-	statuses := make([]int, n)
-	bodies := make([][]byte, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			statuses[i], bodies[i] = postJSON(t, ts.URL+"/v1/solve", scenario.SolveRequest{
-				Solve:     scenario.Solve{Network: wire},
-				SessionID: fmt.Sprintf("drain-%d", i),
-			})
-		}(i)
-	}
-	// Give the requests time to be admitted into the (still-collecting)
-	// wave, then shut down: the wave must cut its window short and
-	// drain, not abandon the admitted tasks.
-	time.Sleep(50 * time.Millisecond)
+	// Hold the worker in a slow first solve with the rest admitted and
+	// queued behind it, then shut down: the queue must drain, not be
+	// abandoned.
+	wait := holdShard(t, srv, ts.URL, wire, 7, 100*time.Millisecond)
 	closed := make(chan struct{})
 	go func() { srv.Close(); close(closed) }()
-	wg.Wait()
+	statuses, bodies := wait()
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
@@ -538,7 +612,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 // checks backpressure: 429s with a Retry-After header, a rejected
 // counter on /metrics, and no hung or dropped requests.
 func TestServeAdmission(t *testing.T) {
-	srv, base := newTestServer(t, Config{Shards: 1, MaxQueue: 1, MaxBatch: 1, BatchWindow: -1})
+	srv, base := newTestServer(t, Config{Shards: 1, MaxQueue: 1, MaxBatch: 1})
 	rng := rand.New(rand.NewPCG(13, 4))
 	wire := testNetwork(rng, 7)
 	wire.Transmissions = 3
