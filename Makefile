@@ -69,7 +69,6 @@ chaos-failover:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveSmallLP$$' -fuzztime=$(FUZZTIME) ./internal/lp
-	$(GO) test -run='^$$' -fuzz='^FuzzPruner$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadNetwork$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadSimulation$$' -fuzztime=$(FUZZTIME) ./internal/scenario
@@ -80,15 +79,19 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # A few seconds of the out-of-process dmcd benchmark (perfbench/) on
-# each declared workload, plain and traced: proves the perfbench module
-# still builds against the daemon and that every answer passes its
-# oracle (run.sh exits non-zero on an oracle failure). cg-resolve is
-# left out: the open Phase-I-skip defect (perfbench/README.md) fails it.
+# each declared workload, plain and traced, plus the undeclared
+# cg-resolve workload (column-generation re-solves at 10×3–20×4): proves
+# the perfbench module still builds against the daemon and that every
+# answer passes its oracle (run.sh exits non-zero on an oracle failure).
+# Then the perfbench module's own tests, which run every workload at
+# smoke sizes.
 perf-smoke:
 	@for w in tiny-fleet durable-async; do for tr in 0 1; do \
 		echo "perf-smoke: $$w --trace $$tr"; \
 		bash perfbench/run.sh --workload $$w --seconds 3 --trace $$tr || exit 1; \
 	done; done
+	@echo "perf-smoke: cg-resolve"; bash perfbench/run.sh --workload cg-resolve --seconds 3 || exit 1
+	cd perfbench && $(GO) test ./...
 
 # The real benchmark suite (the paper's evaluation artifacts live in
 # bench_test.go at the repo root); compare against BENCH_baseline.json.

@@ -26,10 +26,9 @@
 // SolveMinCost (§VI-A cost minimization under a quality floor), and
 // SolveQualityRandom + OptimalTimeouts (§VI-B random delays, Eq. 26–34,
 // with NewTimeoutCache memoizing tables across λ/µ/loss drift) all
-// auto-dispatch between dense enumeration, dominance pruning, and
-// column generation by problem size (SolveQualityCG, SolveMinCostCG,
-// SolveQualityRandomCG are the CG cores, for combination spaces dense
-// enumeration cannot materialize). Solver.Resolve, Solver.ResolveMinCost,
+// dispatch by problem size: dense enumeration for tiny combination
+// spaces, column generation for everything larger — including spaces
+// dense enumeration cannot materialize. Solver.Resolve, Solver.ResolveMinCost,
 // and Solver.ResolveQualityRandom re-solve incrementally for drifting
 // estimates: column tables rebuilt in place, CG pool retained and
 // repriced, LP basis reused with newly priced columns appended onto the
@@ -119,8 +118,8 @@ type (
 	// SolveManyRandom) and session-keyed (SolveSession, DropSession)
 	// entry points. Safe for concurrent use; see NewWarmPool.
 	WarmPool = core.WarmPool
-	// SolveStats records which solve core ran (dense enumeration,
-	// dominance-pruned dense, or column generation) and what it cost.
+	// SolveStats records which solve core ran (dense enumeration or
+	// column generation) and what it cost.
 	SolveStats = core.SolveStats
 	// Dispatch names a solve core in SolveStats.
 	Dispatch = core.Dispatch
@@ -130,8 +129,6 @@ type (
 const (
 	// DispatchDense is plain dense enumeration of every combination.
 	DispatchDense = core.DispatchDense
-	// DispatchPruned is dense enumeration after dominance pruning.
-	DispatchPruned = core.DispatchPruned
 	// DispatchCG is column generation over a restricted master problem.
 	DispatchCG = core.DispatchCG
 )
@@ -250,18 +247,12 @@ func NewNetwork(rate float64, lifetime time.Duration, paths ...Path) *Network {
 
 // SolveQuality maximizes the communication quality Q (Eq. 10) with a
 // pooled reusable solver. Dispatch scales automatically with the
-// combination count (n+1)^m: dense enumeration for small spaces,
-// dominance-pruned enumeration for mid-size ones, and column generation
-// (SolveQualityCG) beyond that — 40 paths at 4 transmissions solves in
-// tens of milliseconds. Solution.Stats reports which core ran.
+// combination count (n+1)^m: dense enumeration for tiny spaces, and
+// column generation over a restricted master problem — pricing columns
+// from the simplex duals without materializing the space — beyond
+// that; 40 paths at 4 transmissions solves in tens of milliseconds.
+// Both reach the same optimum; Solution.Stats reports which core ran.
 func SolveQuality(n *Network) (*Solution, error) { return core.SolveQuality(n) }
-
-// SolveQualityCG solves the quality maximization by column generation
-// over a restricted master problem, pricing columns from the simplex
-// duals without materializing the (n+1)^m combination space. It reaches
-// the same optimum as dense enumeration; most callers want SolveQuality,
-// which dispatches here automatically for large instances.
-func SolveQualityCG(n *Network) (*Solution, error) { return core.SolveQualityCG(n) }
 
 // NewSolver returns a reusable Solver for hot loops that solve many
 // same-shaped networks (adaptive re-solves, sweeps): tableau, basis, and
@@ -298,36 +289,20 @@ func SolveMany(nets []*Network) ([]*Solution, error) { return core.SolveMany(net
 func NewWarmPool() *WarmPool { return core.NewWarmPool() }
 
 // SolveMinCost minimizes cost subject to a quality floor (§VI-A),
-// auto-dispatching between dense enumeration, dominance pruning, and
-// column generation by problem size.
+// dispatching like SolveQuality. Column generation there grows the
+// column pool until the quality floor is provably reachable (or
+// certifies ErrInfeasible at the true quality optimum), then
+// cost-reduced pricing runs to the certified minimum.
 func SolveMinCost(n *Network, minQuality float64) (*Solution, error) {
 	return core.SolveMinCost(n, minQuality)
 }
 
-// SolveMinCostCG solves the §VI-A cost minimization by column
-// generation: a feasibility stage grows the column pool until the
-// quality floor is provably reachable (or certifies ErrInfeasible at
-// the true quality optimum), then cost-reduced pricing runs to the
-// certified minimum. Most callers want SolveMinCost, which dispatches
-// here automatically for large instances.
-func SolveMinCostCG(n *Network, minQuality float64) (*Solution, error) {
-	return core.SolveMinCostCG(n, minQuality)
-}
-
 // SolveQualityRandom solves the random-delay model (§VI-B) with the given
-// retransmission timeouts, auto-dispatching between dense enumeration
-// and column generation by pair count.
+// retransmission timeouts, dispatching like SolveQuality on the pair
+// count (n+1)². Column generation there prices pairs by an exact scan
+// of once-per-solve Eq. 27–30 tables.
 func SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
 	return core.SolveQualityRandom(n, to)
-}
-
-// SolveQualityRandomCG solves the §VI-B random-delay model by column
-// generation over the (n+1)² pair space, pricing pairs by an exact scan
-// of once-per-solve Eq. 27–30 tables. Most callers want
-// SolveQualityRandom, which dispatches here automatically for large
-// path counts.
-func SolveQualityRandomCG(n *Network, to *Timeouts) (*Solution, error) {
-	return core.SolveQualityRandomCG(n, to)
 }
 
 // SolveQualityExact solves with exact rational arithmetic.

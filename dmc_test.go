@@ -179,12 +179,12 @@ func TestFacadeScalableSolve(t *testing.T) {
 	if sol.Quality <= 0 || sol.Quality > 1 {
 		t.Errorf("quality = %v", sol.Quality)
 	}
-	direct, err := dmc.SolveQualityCG(network)
+	direct, err := dmc.NewSolver().SolveQuality(network)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if direct.Quality != sol.Quality {
-		t.Errorf("SolveQualityCG quality %v != dispatched %v", direct.Quality, sol.Quality)
+		t.Errorf("Solver.SolveQuality quality %v != pooled %v", direct.Quality, sol.Quality)
 	}
 }
 

@@ -15,7 +15,7 @@ func BuildLP(n *Network) (*lp.Problem, error) {
 		return nil, err
 	}
 	cols := m.computeColumns(make([]int, m.m))
-	return m.assembleProblem(lp.Maximize, cols.delivery, cols, nil, true), nil
+	return m.assembleProblemInto(nil, lp.Maximize, cols.delivery, cols, nil, true), nil
 }
 
 // SolveQuality solves the deterministic-delay quality maximization

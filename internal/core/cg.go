@@ -39,15 +39,6 @@ const (
 // and either grows the pool or certifies ErrInfeasible.
 var errMasterInfeasible = errors.New("core: restricted master infeasible over the current column pool")
 
-// SolveQualityCG solves the quality maximization by column generation
-// with a pooled reusable Solver; see Solver.SolveQualityCG.
-func SolveQualityCG(n *Network) (*Solution, error) {
-	s := solverPool.Get().(*Solver)
-	sol, err := s.SolveQualityCG(n)
-	solverPool.Put(s)
-	return sol, err
-}
-
 // cgObjective abstracts the objective-specific pieces of the
 // column-generation engine — what the restricted master optimizes, how a
 // combination's LP column is evaluated, and how new columns are priced
@@ -152,36 +143,6 @@ func (o *qualityObjective) reprice(duals []float64) {
 func (o *qualityObjective) price(floor float64) [][]int { return o.pr.price(floor) }
 
 func (o *qualityObjective) seed(cs *colSet, scratch []int) { o.m.seedColumns(cs, o, scratch) }
-
-// SolveQualityCG solves the deterministic-delay quality maximization
-// (Eq. 10) without materializing the (n+1)^m combination space: a
-// restricted master problem over a generated column pool is solved with
-// the reusable simplex, and new columns are priced from its duals by an
-// exact branch-and-bound oracle over the odometer space. Terminates at
-// the true LP optimum — the oracle proves no combination has positive
-// reduced cost — so the result matches dense enumeration to solver
-// tolerance wherever both are tractable, while scaling to path counts
-// dense enumeration cannot touch (40 paths × 4 transmissions is a
-// 2.8M-combination space; the master typically sees a few hundred).
-//
-// Most callers want SolveQuality, which dispatches here automatically
-// above the dense threshold.
-func (s *Solver) SolveQualityCG(n *Network) (*Solution, error) {
-	m, err := newSparseModel(n)
-	if err != nil {
-		return nil, err
-	}
-	obj := &qualityObjective{m: m, pr: newPricer(m), costRow: true}
-	cs := newColSet()
-	obj.seed(cs, s.scratch(m.m))
-	prob, lpSol, iters, _, err := s.runCG(nil, m, cs, obj, nil, cgPriceTol, cgPriceTol, nil)
-	if err != nil {
-		return nil, err
-	}
-	sol := m.newSolutionIndexed(prob, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
-	sol.Stats = SolveStats{Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters}
-	return sol, nil
-}
 
 // runCG alternates restricted-master LP solves over the column set with
 // exact pricing until no combination prices above certTol (which bounds

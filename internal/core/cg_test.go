@@ -7,23 +7,6 @@ import (
 	"time"
 )
 
-// forceCG returns a Solver that dispatches every solve to column
-// generation regardless of size.
-func forceCG() *Solver {
-	s := NewSolver()
-	s.DenseThreshold = -1
-	return s
-}
-
-// forceDense returns a Solver that never prunes and never dispatches to
-// CG below the dense hard limit — the pre-PR dense behavior.
-func forceDense() *Solver {
-	s := NewSolver()
-	s.DenseThreshold = DenseLimit
-	s.PruneThreshold = -1
-	return s
-}
-
 // TestCGMatchesDense: column generation must reach the same optimum as
 // dense enumeration on every tractable size, including cost-bounded
 // instances, m = 1, and lossless paths.
@@ -40,11 +23,11 @@ func TestCGMatchesDense(t *testing.T) {
 			n.Paths[0].Loss = 0 // zero-survival cutoff inside combos
 		}
 
-		dsol, err := forceDense().SolveQuality(n)
+		dsol, err := newTiered(DispatchDense).SolveQuality(n)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		csol, err := forceCG().SolveQuality(n)
+		csol, err := newTiered(DispatchCG).SolveQuality(n)
 		if err != nil {
 			t.Fatalf("trial %d: cg: %v", trial, err)
 		}
@@ -135,11 +118,11 @@ func TestCGWorstCaseInTimeTree(t *testing.T) {
 func TestCGSolutionAccessors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
 	n := diffRandomNetwork(rng, 4, 2)
-	dsol, err := forceDense().SolveQuality(n)
+	dsol, err := newTiered(DispatchDense).SolveQuality(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csol, err := forceCG().SolveQuality(n)
+	csol, err := newTiered(DispatchCG).SolveQuality(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +158,11 @@ func TestCGSolutionAccessors(t *testing.T) {
 func TestCGDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 19))
 	n := diffRandomNetwork(rng, 12, 3)
-	a, err := forceCG().SolveQuality(n)
+	a, err := newTiered(DispatchCG).SolveQuality(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := forceCG().SolveQuality(n)
+	b, err := newTiered(DispatchCG).SolveQuality(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,19 +177,21 @@ func TestCGDeterministic(t *testing.T) {
 }
 
 // TestDispatchThresholds: the automatic dispatch must pick the expected
-// solve core per size.
+// solve core per size, on both sides of denseMaxCombos.
 func TestDispatchThresholds(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 29))
 	cases := []struct {
 		paths, m int
 		want     Dispatch
 	}{
-		{4, 2, DispatchDense},   // 125 combos: below the prune threshold
-		{10, 3, DispatchDense},  // 1331
-		{15, 3, DispatchPruned}, // 4096: pruned dense
-		{19, 3, DispatchPruned}, // 8000
-		{10, 4, DispatchCG},     // 14641: above the dense threshold
-		{40, 4, DispatchCG},     // 2.8M
+		{4, 2, DispatchDense},  // 25 combos
+		{10, 2, DispatchDense}, // 121
+		{4, 3, DispatchDense},  // 125
+		{11, 2, DispatchCG},    // 144: just above the crossover
+		{5, 3, DispatchCG},     // 216
+		{10, 3, DispatchCG},    // 1331
+		{15, 3, DispatchCG},    // 4096
+		{40, 4, DispatchCG},    // 2.8M
 	}
 	for _, tc := range cases {
 		n := diffRandomNetwork(rng, tc.paths, tc.m)
@@ -216,6 +201,122 @@ func TestDispatchThresholds(t *testing.T) {
 		}
 		if sol.Stats.Dispatch != tc.want {
 			t.Errorf("paths=%d m=%d: dispatch %v, want %v", tc.paths, tc.m, sol.Stats.Dispatch, tc.want)
+		}
+	}
+}
+
+// TestCGMatchesDenseAdversarial: column generation must reach the dense
+// optimum — for quality and for min-cost — on random networks and on
+// path sets built to maximize ties between columns (identical paths,
+// zero-loss, zero-cost, lifetime shorter than any delay chain), where
+// the master is most degenerate.
+func TestCGMatchesDenseAdversarial(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0x9e, 0x51))
+
+	adversarial := []*Network{
+		// Identical paths: every permutation of a combination is an
+		// exact duplicate column.
+		func() *Network {
+			p := Path{Bandwidth: 10 * Mbps, Delay: 100 * time.Millisecond, Loss: 0.1, Cost: 1}
+			return NewNetwork(20*Mbps, time.Second, p, p, p)
+		}(),
+		// Zero-loss paths: survival hits zero after one attempt, so all
+		// suffixes collapse.
+		func() *Network {
+			return NewNetwork(5*Mbps, time.Second,
+				Path{Bandwidth: 10 * Mbps, Delay: 50 * time.Millisecond, Loss: 0},
+				Path{Bandwidth: 10 * Mbps, Delay: 80 * time.Millisecond, Loss: 0},
+			)
+		}(),
+		// Lifetime shorter than any retransmission chain: only
+		// single-attempt columns can deliver.
+		func() *Network {
+			n := NewNetwork(5*Mbps, 120*time.Millisecond,
+				Path{Bandwidth: 10 * Mbps, Delay: 100 * time.Millisecond, Loss: 0.3},
+				Path{Bandwidth: 10 * Mbps, Delay: 110 * time.Millisecond, Loss: 0.2},
+			)
+			n.Transmissions = 3
+			return n
+		}(),
+		// Free path dominating an expensive slow one outright.
+		func() *Network {
+			n := NewNetwork(5*Mbps, time.Second,
+				Path{Bandwidth: 100 * Mbps, Delay: 50 * time.Millisecond, Loss: 0.01, Cost: 0},
+				Path{Bandwidth: 100 * Mbps, Delay: 500 * time.Millisecond, Loss: 0.2, Cost: 5},
+			)
+			n.CostBound = 1e6
+			return n
+		}(),
+	}
+	for i, n := range adversarial {
+		checkCGMatchesDense(t, n, i, "adversarial")
+	}
+	for trial := 0; trial < 100; trial++ {
+		n := diffRandomNetwork(rng, 2+rng.IntN(5), 1+rng.IntN(3))
+		checkCGMatchesDense(t, n, trial, "random")
+	}
+}
+
+func checkCGMatchesDense(t *testing.T, n *Network, id int, kind string) {
+	t.Helper()
+	dense, cg := newTiered(DispatchDense), newTiered(DispatchCG)
+	dsol, err := dense.SolveQuality(n)
+	if err != nil {
+		t.Fatalf("%s %d: dense: %v", kind, id, err)
+	}
+	csol, err := cg.SolveQuality(n)
+	if err != nil {
+		t.Fatalf("%s %d: cg: %v", kind, id, err)
+	}
+	if diff := math.Abs(dsol.Quality - csol.Quality); diff > 1e-7 {
+		t.Errorf("%s %d: cg quality %v vs dense %v (diff %v)", kind, id, csol.Quality, dsol.Quality, diff)
+	}
+	target := dsol.Quality * 0.9
+	dcost, derr := dense.SolveMinCost(n, target)
+	ccost, cerr := cg.SolveMinCost(n, target)
+	if (derr == nil) != (cerr == nil) {
+		t.Fatalf("%s %d: min-cost feasibility disagrees: dense %v, cg %v", kind, id, derr, cerr)
+	}
+	if derr == nil {
+		dc, cc := dcost.Cost(), ccost.Cost()
+		if math.Abs(dc-cc) > 1e-6*(1+math.Abs(dc)) {
+			t.Errorf("%s %d: cg min-cost %v vs dense %v", kind, id, cc, dc)
+		}
+	}
+}
+
+// TestSparseSolutionRiskReport: RiskReport (and the risk-adjusted solve
+// built on it) must work on column-generated solutions, whose column
+// tables are a subset of the dense space — regression test for an
+// index-out-of-range panic when it sized buffers by the dense
+// combination count.
+func TestSparseSolutionRiskReport(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 37))
+	n := diffRandomNetwork(rng, 7, 4) // 8^4 = 4096 combos: auto-dispatches to CG
+	for name, solve := range map[string]func(*Network) (*Solution, error){
+		"cg":   newTiered(DispatchCG).SolveQuality,
+		"auto": NewSolver().SolveQuality,
+	} {
+		sol, err := solve(n)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sol.Stats.Dispatch != DispatchCG {
+			t.Fatalf("%s: expected the CG dispatch, got %v", name, sol.Stats.Dispatch)
+		}
+		rep, err := sol.RiskReport(1024)
+		if err != nil {
+			t.Fatalf("%s: RiskReport: %v", name, err)
+		}
+		if len(rep.Bandwidth) != len(n.Paths) {
+			t.Errorf("%s: %d bandwidth entries, want %d", name, len(rep.Bandwidth), len(n.Paths))
+		}
+		// Fraction must agree with the active-combination listing on
+		// sparse solutions (packed-key lookup path).
+		for _, cs := range sol.ActiveCombos(1e-9) {
+			if f := sol.Fraction(cs.Combo); f != cs.Fraction {
+				t.Errorf("%s: Fraction(%v) = %v, want %v", name, cs.Combo, f, cs.Fraction)
+			}
 		}
 	}
 }

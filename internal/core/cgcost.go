@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"dmc/internal/lp"
 )
@@ -14,15 +13,6 @@ import (
 // handed to the master's own Phase I rather than rejected outright,
 // matching the dense path's feasibility verdict.
 const minCostFeasSlack = 1e-9
-
-// SolveMinCostCG solves the §VI-A cost minimization by column
-// generation with a pooled reusable Solver; see Solver.SolveMinCostCG.
-func SolveMinCostCG(n *Network, minQuality float64) (*Solution, error) {
-	s := solverPool.Get().(*Solver)
-	sol, err := s.SolveMinCostCG(n, minQuality)
-	solverPool.Put(s)
-	return sol, err
-}
 
 // minCostObjective is the §VI-A master: minimize the expected total
 // cost per second (Eq. 21) over the bandwidth rows, the quality floor
@@ -71,43 +61,20 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// SolveMinCostCG solves the §VI-A cost minimization without
-// materializing the (n+1)^m combination space. It runs in two stages
-// over one shared column pool: a feasibility stage grows the pool with
-// quality-maximization pricing rounds just until the restricted master
-// can reach the quality floor (or certifies, at the true quality
-// optimum, that no sending strategy can — ErrInfeasible), then the
-// min-cost stage prices columns by cost-reduced duals until the master
-// cost is certified minimal. Both stages share the incremental simplex:
-// freshly priced columns are appended onto the hot tableau instead of
-// re-solving each master from scratch.
-//
-// Most callers want SolveMinCost, which dispatches here automatically
-// above the dense threshold.
-func (s *Solver) SolveMinCostCG(n *Network, minQuality float64) (*Solution, error) {
-	if math.IsNaN(minQuality) || minQuality < 0 || minQuality > 1 {
-		return nil, fmt.Errorf("core: min quality %v outside [0,1]", minQuality)
-	}
-	m, err := newSparseModel(n)
-	if err != nil {
-		return nil, err
-	}
-	pr := newPricer(m)
-	mo := &minCostObjective{m: m, pr: pr, minQuality: minQuality}
-	cs := newColSet()
-	mo.seed(cs, s.scratch(m.m))
-	sol, _, err := s.solveMinCostCG(nil, m, cs, mo, nil, cgPriceTol, false)
-	return sol, err
-}
-
-// solveMinCostCG is the two-stage min-cost column-generation core
-// shared by the one-shot and incremental-resolve entry points. When
-// skipFeasStage is set (a warm re-solve whose retained pool supported
-// the floor last time), the feasibility stage is tried only if the
-// min-cost master actually comes back infeasible under the drifted
-// coefficients. Returns the solution and the final master LP solution
-// (whose duals the resolve path stashes for pool trimming).
-func (s *Solver) solveMinCostCG(sc *asmScratch, m *model, cs *colSet, mo *minCostObjective, basis *lp.Basis, certTol float64, skipFeasStage bool) (*Solution, *lp.Solution, error) {
+// minCostCG is the two-stage min-cost column-generation core shared by
+// the one-shot and incremental-resolve entry points. The feasibility
+// stage grows the pool with quality-maximization pricing rounds just
+// until the restricted master can reach the quality floor (or
+// certifies, at the true quality optimum, that no sending strategy can —
+// ErrInfeasible); the min-cost stage then prices columns by
+// cost-reduced duals until the master cost is certified minimal. Both
+// stages share the incremental simplex. When skipFeasStage is set (a
+// warm re-solve whose retained pool supported the floor last time), the
+// feasibility stage is tried only if the min-cost master actually comes
+// back infeasible under the drifted coefficients. Returns the solution
+// and the final master LP solution (whose duals the resolve path
+// stashes for pool trimming).
+func (s *Solver) minCostCG(sc *asmScratch, m *model, cs *colSet, mo *minCostObjective, basis *lp.Basis, certTol float64, skipFeasStage bool) (*Solution, *lp.Solution, error) {
 	feasIters := 0
 	if !skipFeasStage {
 		var err error
@@ -137,18 +104,13 @@ func (s *Solver) solveMinCostCG(sc *asmScratch, m *model, cs *colSet, mo *minCos
 		return nil, nil, err
 	}
 
-	sol := m.newSolutionIndexed(prob, &cs.cols, lpSol.X, 0, cs.pos)
+	// The LP objective is cost; recompute the achieved quality from the
+	// solution, exactly as the dense path does.
+	sol := m.newSolution(prob, &cs.cols, lpSol.X, deliveredQuality(&cs.cols, lpSol.X), cs.pos)
 	sol.Stats = SolveStats{
 		Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: feasIters + iters,
 		PhaseISkipped: firstWarm,
 	}
-	// The LP objective is cost; recompute the achieved quality from the
-	// solution, exactly as the dense path does.
-	var q float64
-	for l, x := range lpSol.X {
-		q += x * cs.cols.delivery[l]
-	}
-	sol.Quality = clamp01(q)
 	return sol, lpSol, nil
 }
 

@@ -8,16 +8,6 @@ import (
 	"dmc/internal/lp"
 )
 
-// SolveQualityRandomCG solves the §VI-B random-delay model by column
-// generation with a pooled reusable Solver; see
-// Solver.SolveQualityRandomCG.
-func SolveQualityRandomCG(n *Network, to *Timeouts) (*Solution, error) {
-	s := solverPool.Get().(*Solver)
-	sol, err := s.SolveQualityRandomCG(n, to)
-	solverPool.Put(s)
-	return sol, err
-}
-
 // randomObjective is the §VI-B random-delay quality maximization over
 // m = 2 columns. The Eqs. 27–30 coefficients of a pair (i, j) depend on
 // the delay distributions and the timeout table but not on the duals,
@@ -243,32 +233,9 @@ func (o *randomObjective) seed(cs *colSet, _ []int) {
 	}
 }
 
-// SolveQualityRandomCG solves the §VI-B random-delay model without
-// materializing the (n+1)² pair space: the Eqs. 27–30 coefficients are
-// tabulated per ordered pair, a restricted master grows by
-// exact-scan pricing, and freshly priced pairs are appended onto the
-// hot simplex tableau. Reaches the same optimum as the dense
-// enumeration; most callers want SolveQualityRandom, which dispatches
-// here automatically above the dense threshold.
-func (s *Solver) SolveQualityRandomCG(n *Network, to *Timeouts) (*Solution, error) {
-	m, ro, err := s.randomModel(n, to, nil)
-	if err != nil {
-		return nil, err
-	}
-	cs := newColSet()
-	ro.seed(cs, s.scratch(m.m))
-	prob, lpSol, iters, _, err := s.runCG(nil, m, cs, ro, nil, cgPriceTol, cgPriceTol, nil)
-	if err != nil {
-		return nil, err
-	}
-	sol := m.newSolutionIndexed(prob, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
-	sol.Stats = SolveStats{Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters}
-	return sol, nil
-}
-
 // randomModel validates the random-delay inputs and builds the sparse
 // model plus the tabulated pair objective (reusing prev's storage).
-func (s *Solver) randomModel(n *Network, to *Timeouts, prev *randomObjective) (*model, *randomObjective, error) {
+func randomModel(n *Network, to *Timeouts, prev *randomObjective) (*model, *randomObjective, error) {
 	m, err := newSparseModel(n)
 	if err != nil {
 		return nil, nil, err

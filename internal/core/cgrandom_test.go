@@ -113,8 +113,7 @@ func exactRandomQuality(t *testing.T, n *Network, to *Timeouts) float64 {
 // including undefined-timeout pairs and finite cost budgets.
 func TestRandomCGMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x4a7d, 0x1))
-	cg := NewSolver()
-	cg.DenseThreshold = -1 // force column generation at every size
+	cg := newTiered(DispatchCG)
 	dense := NewSolver()
 	for trial := 0; trial < 110; trial++ {
 		n := randomDelayNetwork(rng, 2+rng.IntN(3)) // 2–4 paths: 9–25 pairs
@@ -148,16 +147,16 @@ func TestRandomCGMatchesExact(t *testing.T) {
 	}
 }
 
-// TestRandomCGDispatchAtScale: a path count whose pair space exceeds
-// the dense threshold must dispatch SolveQualityRandom to column
-// generation automatically and agree with a forced dense solve of the
-// same instance.
+// TestRandomCGDispatchAtScale: a path count whose pair space is far
+// above the dispatch crossover must dispatch SolveQualityRandom to
+// column generation automatically and agree with a pinned dense solve
+// of the same instance.
 func TestRandomCGDispatchAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large random-delay differential is slow under -short")
 	}
 	rng := rand.New(rand.NewPCG(0x4a7d, 0x2))
-	paths := 120 // (121)² = 14641 pairs > DefaultDenseThreshold
+	paths := 120 // (121)² = 14641 pairs
 	n := randomDelayNetwork(rng, paths)
 	to := randomTimeouts(rng, n)
 
@@ -173,9 +172,7 @@ func TestRandomCGDispatchAtScale(t *testing.T) {
 		t.Fatalf("stats not populated: %+v", sol.Stats)
 	}
 
-	forced := NewSolver()
-	forced.DenseThreshold = DenseLimit
-	dsol, err := forced.SolveQualityRandom(n, to)
+	dsol, err := newTiered(DispatchDense).SolveQualityRandom(n, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +188,9 @@ func TestRandomCGDispatchAtScale(t *testing.T) {
 }
 
 // TestRandomCGErrors mirrors the dense path's argument validation on
-// the forced-CG solver.
+// the pinned-CG solver.
 func TestRandomCGErrors(t *testing.T) {
-	cg := NewSolver()
-	cg.DenseThreshold = -1
+	cg := newTiered(DispatchCG)
 	n := tableVNetwork()
 	to, err := DeterministicTimeouts(n, 0)
 	if err != nil {
@@ -227,9 +223,7 @@ func TestRandomCGExperiment2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg := NewSolver()
-	cg.DenseThreshold = -1
-	s, err := cg.SolveQualityRandom(n, to)
+	s, err := newTiered(DispatchCG).SolveQualityRandom(n, to)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,8 +115,7 @@ func (m *model) computeColumnsInto(cols *columns, digits []int) {
 // appendColumn evaluates combo's column via eval (the objective-specific
 // column evaluation: deterministic columnOf, or the random-delay pair
 // tables) and appends it, copying the digits. Used by the dynamically
-// grown column sets of the pruned-dense and column-generation solve
-// paths.
+// grown column sets of the column-generation solve paths.
 func (c *columns) appendColumn(base int, eval func([]int, []float64) (float64, float64), combo []int) {
 	start := len(c.shares)
 	c.shares = append(c.shares, make([]float64, base)...)
@@ -126,12 +125,12 @@ func (c *columns) appendColumn(base int, eval func([]int, []float64) (float64, f
 	c.combos = append(c.combos, append(Combo(nil), combo...))
 }
 
-// appendFrom copies column l of src, including the combination digits —
-// sharing the Combo header would keep src's full dense backing array
-// (all nVars × m digits) reachable for the pruned Solution's lifetime.
+// appendFrom copies column l of src. The combination digits are
+// shared: appendColumn gave every pooled column its own, and they are
+// never written after.
 func (c *columns) appendFrom(src *columns, l, base int) {
 	c.delivery = append(c.delivery, src.delivery[l])
 	c.costs = append(c.costs, src.costs[l])
 	c.shares = append(c.shares, src.shares[l*base:(l+1)*base]...)
-	c.combos = append(c.combos, append(Combo(nil), src.combos[l]...))
+	c.combos = append(c.combos, src.combos[l])
 }

@@ -250,9 +250,7 @@ func blackholePath() Path {
 // entry points (BuildLP and QualityUpperBound) refuse instances whose
 // combination count (n+1)^m exceeds it. Every solve entry point —
 // SolveQuality, SolveMinCost, SolveQualityRandom — dispatches to column
-// generation above its dense threshold instead of failing, so the cap
-// is unreachable from them; see SolveQualityCG, SolveMinCostCG, and
-// SolveQualityRandomCG.
+// generation far below it, so the cap is unreachable from them.
 const DenseLimit = 1 << 22
 
 // combinationCount returns base^m when it is at most limit. The product

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dmc/internal/dist"
-	"dmc/internal/lp"
 )
 
 // ErrRandomNeedsTwoTransmissions is returned by SolveQualityRandom for
@@ -35,37 +34,11 @@ func SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
 // and are never retransmitted; combinations with an undefined timeout
 // cannot retransmit in time (their delivery reduces to the first attempt).
 //
-// Dispatch scales with the pair count (n+1)²: small spaces enumerate
-// densely, larger ones — including path counts whose pair space exceeds
-// DenseLimit — solve by column generation (SolveQualityRandomCG). Both
-// reach the same LP optimum; Solution.Stats reports which core ran.
+// Dispatch follows SolveQuality on the pair count (n+1)²: column
+// generation there scans the tabulated pair space exactly instead of
+// branch-and-bound.
 func (s *Solver) SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
-	if !s.denseDispatchOK(n) {
-		return s.SolveQualityRandomCG(n, to)
-	}
-	m, err := newModel(n)
-	if err != nil {
-		return nil, err
-	}
-	if m.m != 2 {
-		return nil, ErrRandomNeedsTwoTransmissions
-	}
-	if err := validateTimeouts(n, to); err != nil {
-		return nil, err
-	}
-
-	cols := m.randomColumns(to)
-	prob := m.assembleProblem(lp.Maximize, cols.delivery, cols, nil, true)
-	sol, err := s.lps.SolveWith(prob, lp.Options{AssumeValid: true})
-	if err != nil {
-		return nil, fmt.Errorf("core: solving random-delay LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: random-delay LP unexpectedly %v", sol.Status)
-	}
-	out := m.newSolution(prob, cols, sol.X, sol.Objective)
-	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len()}
-	return out, nil
+	return s.solve(n, solveReq{obj: objRandom, to: to})
 }
 
 // validateTimeouts checks the timeout table matches the network's path

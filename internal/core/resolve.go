@@ -52,7 +52,7 @@ const (
 // family: everything reusable across solves of same-shaped networks
 // whose λ/µ/loss/delay coefficients drift. It is invalidated whenever
 // the network shape (path count, transmissions, cost-boundedness), the
-// objective, or the planned dispatch changes.
+// objective, or the dispatch tier changes.
 type resolveState struct {
 	valid bool
 
@@ -63,13 +63,9 @@ type resolveState struct {
 	dispatch  Dispatch
 	objective solveObjective
 
-	// Dense and pruned dispatch: the full dense column table, rebuilt in
-	// place each re-solve.
+	// Dense dispatch: the full dense column table, rebuilt in place each
+	// re-solve.
 	dense *columns
-	// Pruned dispatch: packed combination keys of the previous master's
-	// columns, in column order, for remapping the LP basis onto the next
-	// solve's (possibly different) surviving subset.
-	keptKeys []uint64
 
 	// CG dispatch: the persistent column pool and pricing oracle.
 	pool   *colSet
@@ -80,8 +76,8 @@ type resolveState struct {
 	// mcObj is the min-cost master objective buffer (objMinCost).
 	mcObj []float64
 
-	// Optimal LP basis of the previous solve and the structural column
-	// count it was captured against.
+	// Optimal LP basis of the previous solve and, for the CG dispatch,
+	// the pool size it was captured against.
 	basis *lp.Basis
 	lastN int
 	// duals is the previous master's dual vector (CG dispatch), used to
@@ -89,44 +85,31 @@ type resolveState struct {
 	duals []float64
 }
 
-// resolveReq carries one Resolve call's objective and its parameters.
-type resolveReq struct {
+// solveReq carries one solve's objective and its parameters.
+type solveReq struct {
 	obj        solveObjective
 	minQuality float64   // objMinCost
 	to         *Timeouts // objRandom
 }
 
-// matches reports whether the warm state can serve the network.
-func (rs *resolveState) matches(s *Solver, n *Network, obj solveObjective) bool {
+// check validates the request's own parameters (the network is
+// validated by the model builders).
+func (r solveReq) check() error {
+	if r.obj == objMinCost && (math.IsNaN(r.minQuality) || r.minQuality < 0 || r.minQuality > 1) {
+		return fmt.Errorf("core: min quality %v outside [0,1]", r.minQuality)
+	}
+	return nil
+}
+
+// matches reports whether the warm state can serve the network on the
+// given tier.
+func (rs *resolveState) matches(n *Network, obj solveObjective, tier Dispatch) bool {
 	return rs.valid &&
 		rs.objective == obj &&
 		rs.nPaths == len(n.Paths) &&
 		rs.trans == n.transmissions() &&
 		rs.hasCost == !math.IsInf(n.CostBound, 1) &&
-		rs.dispatch == s.plannedDispatch(n, obj)
-}
-
-// plannedDispatch computes which solve core the Resolve family will use
-// for the network's shape under the solver's current thresholds. The
-// random-delay objective never dispatches to the dominance pruner (its
-// structural canonicalization assumes the deterministic schedule), so
-// its dense window reports DispatchDense throughout.
-func (s *Solver) plannedDispatch(n *Network, obj solveObjective) Dispatch {
-	if !s.denseDispatchOK(n) {
-		return DispatchCG
-	}
-	if obj == objRandom {
-		return DispatchDense
-	}
-	nVars, _ := combinationCount(len(n.Paths)+1, n.transmissions(), DenseLimit)
-	th := s.PruneThreshold
-	if th == 0 {
-		th = DefaultPruneThreshold
-	}
-	if th >= 0 && nVars > th {
-		return DispatchPruned
-	}
-	return DispatchDense
+		rs.dispatch == tier
 }
 
 // Resolve solves the deterministic-delay quality maximization (Eq. 10)
@@ -158,7 +141,7 @@ func (s *Solver) plannedDispatch(n *Network, obj solveObjective) Dispatch {
 // SolveQuality, which never reuses result storage). Like every Solver
 // method, Resolve is not safe for concurrent use.
 func (s *Solver) Resolve(n *Network) (*Solution, error) {
-	return s.resolve(n, resolveReq{obj: objQuality})
+	return s.resolve(n, solveReq{obj: objQuality})
 }
 
 // ResolveMinCost is the incremental counterpart of SolveMinCost: §VI-A
@@ -169,10 +152,7 @@ func (s *Solver) Resolve(n *Network) (*Solution, error) {
 // ErrInfeasible (the verdict is always certified cold) and re-primes
 // the state on the next call.
 func (s *Solver) ResolveMinCost(n *Network, minQuality float64) (*Solution, error) {
-	if math.IsNaN(minQuality) || minQuality < 0 || minQuality > 1 {
-		return nil, fmt.Errorf("core: min quality %v outside [0,1]", minQuality)
-	}
-	return s.resolve(n, resolveReq{obj: objMinCost, minQuality: minQuality})
+	return s.resolve(n, solveReq{obj: objMinCost, minQuality: minQuality})
 }
 
 // ResolveQualityRandom is the incremental counterpart of
@@ -183,11 +163,20 @@ func (s *Solver) ResolveMinCost(n *Network, minQuality float64) (*Solution, erro
 // delays); what warms is the column pool, the LP basis, and all
 // storage.
 func (s *Solver) ResolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
-	return s.resolve(n, resolveReq{obj: objRandom, to: to})
+	return s.resolve(n, solveReq{obj: objRandom, to: to})
 }
 
-func (s *Solver) resolve(n *Network, req resolveReq) (*Solution, error) {
-	if s.rs.matches(s, n, req.obj) {
+func (s *Solver) resolve(n *Network, req solveReq) (*Solution, error) {
+	return s.resolveOn(n, req, dispatchFor(n))
+}
+
+// resolveOn is resolve on an explicit tier (in-package tests pin the
+// tier to run both on the same network).
+func (s *Solver) resolveOn(n *Network, req solveReq, tier Dispatch) (*Solution, error) {
+	if err := req.check(); err != nil {
+		return nil, err
+	}
+	if s.rs.matches(n, req.obj, tier) {
 		sol, err := s.resolveWarm(n, req)
 		if err == nil {
 			return sol, nil
@@ -204,21 +193,20 @@ func (s *Solver) resolve(n *Network, req resolveReq) (*Solution, error) {
 		// cache must never fail a solve that a cold path can do.
 		s.rs = resolveState{}
 	}
-	return s.resolveCold(n, req)
+	return s.resolveCold(n, req, tier)
 }
 
 // resolveCold primes the warm state with a cold solve.
-func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
+func (s *Solver) resolveCold(n *Network, req solveReq, tier Dispatch) (*Solution, error) {
 	s.rs = resolveState{}
-	dispatch := s.plannedDispatch(n, req.obj)
 	var (
 		sol *Solution
 		err error
 	)
-	if dispatch == DispatchCG {
-		sol, err = s.resolveColdCG(n, req)
+	if tier == DispatchCG {
+		sol, err = s.solveCG(n, req, true)
 	} else {
-		sol, err = s.resolveColdDense(n, req)
+		sol, err = s.solveDense(n, req, true)
 	}
 	if err != nil {
 		s.rs = resolveState{}
@@ -228,133 +216,14 @@ func (s *Solver) resolveCold(n *Network, req resolveReq) (*Solution, error) {
 	s.rs.nPaths = len(n.Paths)
 	s.rs.trans = n.transmissions()
 	s.rs.hasCost = !math.IsInf(n.CostBound, 1)
-	s.rs.dispatch = dispatch
+	s.rs.dispatch = tier
 	s.rs.objective = req.obj
 	return sol, nil
 }
 
-// denseMaster assembles and solves the dense master for the request's
-// objective over the given columns, returning the LP solution (the
-// caller builds the public Solution). Used by both the cold and warm
-// dense resolve paths; opts carries the warm basis when one applies.
-func (s *Solver) denseMaster(m *model, cols *columns, req resolveReq, opts lp.Options) (*lp.Problem, *lp.Solution, error) {
-	var prob *lp.Problem
-	switch req.obj {
-	case objMinCost:
-		s.rs.mcObj = grow(s.rs.mcObj, cols.len())
-		λ := m.net.Rate
-		for l, c := range cols.costs {
-			s.rs.mcObj[l] = λ * c
-		}
-		quality := lp.Constraint{Name: "quality", Coeffs: cols.delivery, Rel: lp.GE, RHS: req.minQuality}
-		prob = m.assembleProblemInto(&s.asm, lp.Minimize, s.rs.mcObj, cols, &quality, false)
-	default: // objQuality, objRandom share the Eq. 10 master shape
-		prob = m.assembleProblemInto(&s.asm, lp.Maximize, cols.delivery, cols, nil, true)
-	}
-	lpSol, err := s.lps.SolveWith(prob, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: solving LP: %w", err)
-	}
-	switch lpSol.Status {
-	case lp.Optimal:
-	case lp.Infeasible:
-		if req.obj == objMinCost {
-			return nil, nil, fmt.Errorf("core: quality %v unattainable on this network: %w", req.minQuality, ErrInfeasible)
-		}
-		fallthrough
-	default:
-		return nil, nil, fmt.Errorf("core: LP unexpectedly %v", lpSol.Status)
-	}
-	return prob, lpSol, nil
-}
-
-// denseColumns evaluates the request's dense column tables, into cols
-// when non-nil (the warm in-place rebuild) or freshly.
-func (s *Solver) denseColumns(m *model, req resolveReq, cols *columns) *columns {
-	if req.obj == objRandom {
-		if cols == nil {
-			return m.randomColumns(req.to)
-		}
-		m.randomColumnsInto(cols, req.to)
-		return cols
-	}
-	if cols == nil {
-		return m.computeColumns(s.scratch(m.m))
-	}
-	m.computeColumnsInto(cols, s.scratch(m.m))
-	return cols
-}
-
-// finishSolution attaches the objective-appropriate quality to a solved
-// master: the LP objective for the quality objectives, the recomputed
-// p·x for min-cost (whose LP objective is cost).
-func finishSolution(m *model, prob *lp.Problem, cols *columns, lpSol *lp.Solution, req resolveReq, index map[uint64]int) *Solution {
-	quality := lpSol.Objective
-	if req.obj == objMinCost {
-		quality = 0
-		for l, x := range lpSol.X {
-			quality += x * cols.delivery[l]
-		}
-		quality = clamp01(quality)
-	}
-	return m.newSolutionIndexed(prob, cols, lpSol.X, quality, index)
-}
-
-// newDenseModel builds the dense model for a resolve request, checking
-// the request's structural preconditions (m = 2 and the timeout table
-// for the random objective).
-func (s *Solver) newDenseModel(n *Network, req resolveReq) (*model, error) {
-	m, err := newModel(n)
-	if err != nil {
-		return nil, err
-	}
-	if req.obj == objRandom {
-		if m.m != 2 {
-			return nil, ErrRandomNeedsTwoTransmissions
-		}
-		if err := validateTimeouts(n, req.to); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// resolveColdDense is the dense/pruned cold solve with state capture.
-func (s *Solver) resolveColdDense(n *Network, req resolveReq) (*Solution, error) {
-	m, err := s.newDenseModel(n, req)
-	if err != nil {
-		return nil, err
-	}
-	full := s.denseColumns(m, req, nil)
-	cols, index := full, map[uint64]int(nil)
-	if req.obj != objRandom {
-		// The dominance pruner's structural canonicalization assumes the
-		// deterministic schedule; random-delay tables solve unpruned.
-		cols, index = s.pruneIfWorthwhile(m, full)
-	}
-	prob, lpSol, err := s.denseMaster(m, cols, req, lp.Options{AssumeValid: true, CaptureBasis: true})
-	if err != nil {
-		return nil, err
-	}
-	out := finishSolution(m, prob, cols, lpSol, req, index)
-	out.Stats = denseStats(m, cols, index)
-
-	s.rs.dense = full
-	s.rs.basis = lpSol.Basis
-	s.rs.lastN = cols.len()
-	s.rs.keptKeys = packedKeys(m, cols, nil)
-	return out, nil
-}
-
-// resolveWarmDense re-solves the dense and pruned dispatches: the dense
-// column table is re-evaluated in place and solved whole, with the
-// previous basis remapped onto it via packed combination keys. The
-// dominance pruner is deliberately NOT re-run on the warm path — its
-// full sweep (sort + pairwise checks + column copies) costs more than
-// warm-starting the simplex over the unpruned table, which the basis
-// lands within a few pivots of optimal anyway. (The cold prime still
-// prunes; only re-solves skip it.)
-func (s *Solver) resolveWarmDense(n *Network, req resolveReq) (*Solution, error) {
+// resolveWarmDense re-solves the dense dispatch: the dense column table
+// is re-evaluated in place and solved from the previous optimal basis.
+func (s *Solver) resolveWarmDense(n *Network, req solveReq) (*Solution, error) {
 	m, err := s.newDenseModel(n, req)
 	if err != nil {
 		return nil, err
@@ -368,95 +237,67 @@ func (s *Solver) resolveWarmDense(n *Network, req resolveReq) (*Solution, error)
 	}
 	s.denseColumns(m, req, full)
 
-	opts := lp.Options{AssumeValid: true, CaptureBasis: true}
-	if s.rs.basis != nil {
-		opts.WarmBasis = s.rs.basis.Remap(full.len(), s.basisPerm())
-	}
-	prob, lpSol, err := s.denseMaster(m, full, req, opts)
+	prob, lpSol, err := s.denseMaster(m, full, req, &s.asm,
+		lp.Options{AssumeValid: true, CaptureBasis: true, WarmBasis: s.rs.basis})
 	if err != nil {
 		return nil, err
 	}
-	out := finishSolution(m, prob, full, lpSol, req, nil)
-	// Report the shape's planned dispatch (dense or pruned) so warm and
-	// cold solves of the same network label their rows consistently,
-	// even though the warm path solves the full table either way.
-	out.Stats = SolveStats{Dispatch: s.rs.dispatch, Columns: full.len()}
-	out.Stats.Warm = true
-	out.Stats.PhaseISkipped = lpSol.PhaseISkipped
-
+	out := finishSolution(m, prob, full, lpSol, req)
+	out.Stats = SolveStats{
+		Dispatch: DispatchDense, Columns: full.len(),
+		Warm: true, PhaseISkipped: lpSol.PhaseISkipped,
+	}
 	s.rs.basis = lpSol.Basis
-	s.rs.lastN = full.len()
-	s.rs.keptKeys = nil // full-table solve: identity keys from here on
 	return out, nil
 }
 
 // cgSetup builds the request's sparse model and CG objective, reusing
-// the persistent pricer and buffers from the warm state when they
-// exist.
-func (s *Solver) cgSetup(n *Network, req resolveReq) (*model, cgObjective, error) {
+// rs's pricer and buffers when they exist and keeping the ones it
+// builds there.
+func cgSetup(n *Network, req solveReq, rs *resolveState) (*model, cgObjective, error) {
 	if req.obj == objRandom {
-		m, ro, err := s.randomModel(n, req.to, s.rs.rnd)
+		m, ro, err := randomModel(n, req.to, rs.rnd)
 		if err != nil {
 			return nil, nil, err
 		}
-		s.rs.rnd = ro
+		rs.rnd = ro
 		return m, ro, nil
 	}
 	m, err := newSparseModel(n)
 	if err != nil {
 		return nil, nil, err
 	}
-	pr := s.rs.pricer
-	if pr == nil {
-		pr = newPricer(m)
-		s.rs.pricer = pr
+	if rs.pricer == nil {
+		rs.pricer = newPricer(m)
 	} else {
-		pr.bind(m)
+		rs.pricer.bind(m)
 	}
 	if req.obj == objMinCost {
-		mo := &minCostObjective{m: m, pr: pr, minQuality: req.minQuality, obj: s.rs.mcObj}
+		mo := &minCostObjective{m: m, pr: rs.pricer, minQuality: req.minQuality, obj: rs.mcObj}
 		return m, mo, nil
 	}
-	return m, &qualityObjective{m: m, pr: pr, costRow: true}, nil
-}
-
-// resolveColdCG is the column-generation cold solve with pool capture.
-func (s *Solver) resolveColdCG(n *Network, req resolveReq) (*Solution, error) {
-	m, obj, err := s.cgSetup(n, req)
-	if err != nil {
-		return nil, err
-	}
-	cs := newColSet()
-	obj.seed(cs, s.scratch(m.m))
-	sol, lpSol, err := s.runObjectiveCG(m, cs, obj, nil, cgPriceTol, false)
-	if err != nil {
-		return nil, err
-	}
-	sol.Stats.PoolAdded = cs.cols.len()
-
-	s.rs.pool = cs
-	s.rs.basis = lpSol.Basis
-	s.rs.lastN = cs.cols.len()
-	s.rs.duals = append(s.rs.duals[:0], lpSol.Dual...)
-	return sol, nil
+	return m, &qualityObjective{m: m, pr: rs.pricer, costRow: true}, nil
 }
 
 // runObjectiveCG runs the objective's column-generation driver over the
 // pool — the two-stage min-cost engine, or a plain runCG for the
 // quality objectives — and assembles the Solution with its CG stats.
-// Shared by the cold and warm CG resolve paths; basis and
-// skipFeasStage carry the warm state (nil/false on cold primes).
-func (s *Solver) runObjectiveCG(m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, skipFeasStage bool) (*Solution, *lp.Solution, error) {
+// Shared by the one-shot and Resolve CG paths; a non-nil sc marks the
+// Resolve paths (reusable assembly arena, captured basis), and basis
+// and skipFeasStage carry the warm state (nil/false on cold solves).
+func (s *Solver) runObjectiveCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, basis *lp.Basis, certTol float64, skipFeasStage bool) (*Solution, *lp.Solution, error) {
 	if o, ok := obj.(*minCostObjective); ok {
-		sol, lpSol, err := s.solveMinCostCG(&s.asm, m, cs, o, basis, certTol, skipFeasStage)
-		s.rs.mcObj = o.obj
+		sol, lpSol, err := s.minCostCG(sc, m, cs, o, basis, certTol, skipFeasStage)
+		if sc != nil {
+			s.rs.mcObj = o.obj
+		}
 		return sol, lpSol, err
 	}
-	prob, lpSol, iters, firstWarm, err := s.runCG(&s.asm, m, cs, obj, basis, certTol, certTol, nil)
+	prob, lpSol, iters, firstWarm, err := s.runCG(sc, m, cs, obj, basis, certTol, certTol, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	sol := m.newSolutionIndexed(prob, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
+	sol := m.newSolution(prob, &cs.cols, lpSol.X, lpSol.Objective, cs.pos)
 	sol.Stats = SolveStats{
 		Dispatch: DispatchCG, Columns: cs.cols.len(), CGIterations: iters,
 		PhaseISkipped: firstWarm,
@@ -466,7 +307,7 @@ func (s *Solver) runObjectiveCG(m *model, cs *colSet, obj cgObjective, basis *lp
 
 // resolveWarm dispatches the warm re-solve; any error other than an
 // infeasible quality floor sends resolve down the cold path.
-func (s *Solver) resolveWarm(n *Network, req resolveReq) (*Solution, error) {
+func (s *Solver) resolveWarm(n *Network, req solveReq) (*Solution, error) {
 	if err := fpResolveWarm.Hit(); err != nil {
 		return nil, err
 	}
@@ -482,8 +323,8 @@ func (s *Solver) resolveWarm(n *Network, req resolveReq) (*Solution, error) {
 // columns are repriced in place (every one a pricing-oracle call saved),
 // and the CG loop continues from the previous optimal basis, appending
 // newly priced columns onto the hot tableau.
-func (s *Solver) resolveWarmCG(n *Network, req resolveReq) (*Solution, error) {
-	m, obj, err := s.cgSetup(n, req)
+func (s *Solver) resolveWarmCG(n *Network, req solveReq) (*Solution, error) {
+	m, obj, err := cgSetup(n, req, &s.rs)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +346,7 @@ func (s *Solver) resolveWarmCG(n *Network, req resolveReq) (*Solution, error) {
 	}
 	poolHits := cs.cols.len()
 
-	sol, lpSol, err := s.runObjectiveCG(m, cs, obj, basis, cgCertTolWarm, true)
+	sol, lpSol, err := s.runObjectiveCG(&s.asm, m, cs, obj, basis, cgCertTolWarm, true)
 	if err != nil {
 		return nil, err
 	}
@@ -526,7 +367,7 @@ func (s *Solver) resolveWarmCG(n *Network, req resolveReq) (*Solution, error) {
 // Returns the compact pool and the basis remapped onto it (nil when a
 // basic column could not be preserved, which sends the master down the
 // cold-LP path but keeps the pool win).
-func (s *Solver) trimPool(m *model, basis *lp.Basis, req resolveReq) (*colSet, *lp.Basis) {
+func (s *Solver) trimPool(m *model, basis *lp.Basis, req solveReq) (*colSet, *lp.Basis) {
 	cs := s.rs.pool
 	duals := s.rs.duals
 	n := cs.cols.len()
@@ -601,7 +442,7 @@ func (s *Solver) trimPool(m *model, basis *lp.Basis, req resolveReq) (*colSet, *
 // master's duals for the request's objective (higher = more worth
 // keeping), or nil when the dual vector does not match the expected
 // layout.
-func (s *Solver) poolScore(m *model, duals []float64, req resolveReq) func(j int) float64 {
+func (s *Solver) poolScore(m *model, duals []float64, req solveReq) func(j int) float64 {
 	cs := s.rs.pool
 	λ := m.net.Rate
 	base := m.base
@@ -641,37 +482,4 @@ func (s *Solver) poolScore(m *model, duals []float64, req resolveReq) func(j int
 		}
 		return v
 	}
-}
-
-// basisPerm builds the structural-column permutation mapping the
-// previous solve's column positions onto the full dense table: old
-// position j held the combination with key keptKeys[j], and for an
-// unpruned dense table the packed key IS the enumeration index (Eq. 13).
-// A nil keptKeys means the previous solve already used the full table —
-// the identity (nil perm) applies.
-func (s *Solver) basisPerm() []int {
-	old := s.rs.keptKeys
-	if old == nil {
-		return nil
-	}
-	perm := make([]int, len(old))
-	for j, key := range old {
-		perm[j] = int(key)
-	}
-	return perm
-}
-
-// packedKeys returns the packed combination key of every column, reusing
-// buf when it has capacity. For an unpruned dense table the keys equal
-// the enumeration order, but storing them uniformly keeps the basis
-// remap independent of which shape the previous solve took.
-func packedKeys(m *model, cols *columns, buf []uint64) []uint64 {
-	if cap(buf) < cols.len() {
-		buf = make([]uint64, cols.len())
-	}
-	buf = buf[:cols.len()]
-	for l, combo := range cols.combos {
-		buf[l] = m.packKey(combo)
-	}
-	return buf
 }

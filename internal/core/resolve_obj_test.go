@@ -10,11 +10,9 @@ import (
 // and checks every step against a cold SolveMinCost of the identical
 // instance: costs and achieved qualities must agree to 1e-6, and every
 // re-solve after the prime must report warm.
-func minCostTrajectory(t *testing.T, rng *rand.Rand, warm *Solver, base *Network, floor float64, steps int, wantDispatch Dispatch) (skipped int) {
+func minCostTrajectory(t *testing.T, rng *rand.Rand, warm *tiered, base *Network, floor float64, steps int, wantDispatch Dispatch) (skipped int) {
 	t.Helper()
-	cold := NewSolver()
-	cold.DenseThreshold = warm.DenseThreshold
-	cold.PruneThreshold = warm.PruneThreshold
+	cold := newTiered(warm.tier)
 
 	first, err := warm.ResolveMinCost(base, floor)
 	if err != nil {
@@ -67,7 +65,7 @@ func TestResolveMinCostDifferentialDense(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x3c05, 1))
 	skipped := 0
 	for traj := 0; traj < 25; traj++ {
-		warm := NewSolver()
+		warm := newTiered(DispatchDense)
 		base := diffRandomNetwork(rng, 2+rng.IntN(3), 2)
 		skipped += minCostTrajectory(t, rng, warm, base, 0.25, 6, DispatchDense)
 	}
@@ -76,18 +74,16 @@ func TestResolveMinCostDifferentialDense(t *testing.T) {
 	}
 }
 
-// TestResolveMinCostDifferentialCG forces column generation and replays
+// TestResolveMinCostDifferentialCG pins column generation and replays
 // min-cost drift trajectories through the persistent pool + warm basis
 // + incremental append path.
 func TestResolveMinCostDifferentialCG(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x3c05, 2))
 	warmed := 0
 	for traj := 0; traj < 20; traj++ {
-		warm := NewSolver()
-		warm.DenseThreshold = -1
+		warm := newTiered(DispatchCG)
 		base := diffRandomNetwork(rng, 3+rng.IntN(3), 2+rng.IntN(2))
-		cold := NewSolver()
-		cold.DenseThreshold = -1
+		cold := newTiered(DispatchCG)
 
 		if _, err := warm.ResolveMinCost(base, 0.25); err != nil {
 			t.Fatalf("prime: %v", err)
@@ -162,15 +158,10 @@ func randomResolveTimeouts(t *testing.T, n *Network) *Timeouts {
 // table drift together.
 func TestResolveQualityRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x3c05, 3))
-	for _, forceCG := range []bool{false, true} {
+	for _, tier := range []Dispatch{DispatchDense, DispatchCG} {
 		warmed, skipped := 0, 0
 		for traj := 0; traj < 15; traj++ {
-			warm := NewSolver()
-			cold := NewSolver()
-			if forceCG {
-				warm.DenseThreshold = -1
-				cold.DenseThreshold = -1
-			}
+			warm, cold := newTiered(tier), newTiered(tier)
 			base := diffRandomNetwork(rng, 2+rng.IntN(3), 2)
 			if _, err := warm.ResolveQualityRandom(base, randomResolveTimeouts(t, base)); err != nil {
 				t.Fatalf("prime: %v", err)
@@ -181,20 +172,20 @@ func TestResolveQualityRandomDifferential(t *testing.T) {
 				to := randomResolveTimeouts(t, net)
 				wsol, err := warm.ResolveQualityRandom(net, to)
 				if err != nil {
-					t.Fatalf("cg=%v traj %d step %d: %v", forceCG, traj, step, err)
+					t.Fatalf("%v traj %d step %d: %v", tier, traj, step, err)
 				}
 				csol, err := cold.SolveQualityRandom(net, to)
 				if err != nil {
-					t.Fatalf("cg=%v traj %d step %d cold: %v", forceCG, traj, step, err)
+					t.Fatalf("%v traj %d step %d cold: %v", tier, traj, step, err)
 				}
 				if gap := abs64(wsol.Quality - csol.Quality); gap > 1e-6 {
-					t.Fatalf("cg=%v traj %d step %d: warm %.12f vs cold %.12f (gap %.3e)",
-						forceCG, traj, step, wsol.Quality, csol.Quality, gap)
+					t.Fatalf("%v traj %d step %d: warm %.12f vs cold %.12f (gap %.3e)",
+						tier, traj, step, wsol.Quality, csol.Quality, gap)
 				}
 				if !wsol.Stats.Warm {
-					t.Fatalf("cg=%v traj %d step %d: not warm: %+v", forceCG, traj, step, wsol.Stats)
+					t.Fatalf("%v traj %d step %d: not warm: %+v", tier, traj, step, wsol.Stats)
 				}
-				if forceCG && wsol.Stats.Dispatch != DispatchCG {
+				if wsol.Stats.Dispatch != tier {
 					t.Fatalf("traj %d: dispatch %v", traj, wsol.Stats.Dispatch)
 				}
 				warmed++
@@ -204,10 +195,10 @@ func TestResolveQualityRandomDifferential(t *testing.T) {
 			}
 		}
 		if warmed == 0 {
-			t.Fatalf("cg=%v: no warm random re-solve ever ran", forceCG)
+			t.Fatalf("%v: no warm random re-solve ever ran", tier)
 		}
 		if skipped == 0 {
-			t.Fatalf("cg=%v: no random re-solve ever warm-started its first master", forceCG)
+			t.Fatalf("%v: no random re-solve ever warm-started its first master", tier)
 		}
 	}
 }

@@ -36,11 +36,9 @@ func driftNetwork(rng *rand.Rand, n *Network, maxRel float64) *Network {
 // resolveTrajectory replays one drift trajectory through a warm solver
 // and checks every step against a cold solve. Returns how many steps
 // warm-started the LP (Phase I skipped) and how many fell back.
-func resolveTrajectory(t *testing.T, rng *rand.Rand, warm *Solver, base *Network, steps int, maxRel float64, wantDispatch Dispatch) (skipped, fellBack int) {
+func resolveTrajectory(t *testing.T, rng *rand.Rand, warm *tiered, base *Network, steps int, maxRel float64, wantDispatch Dispatch) (skipped, fellBack int) {
 	t.Helper()
-	cold := NewSolver()
-	cold.DenseThreshold = warm.DenseThreshold
-	cold.PruneThreshold = warm.PruneThreshold
+	cold := newTiered(warm.tier)
 
 	first, err := warm.Resolve(base)
 	if err != nil {
@@ -93,7 +91,7 @@ func TestResolveDifferentialDense(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x0e50, 1))
 	skipped := 0
 	for traj := 0; traj < 40; traj++ {
-		warm := NewSolver()
+		warm := newTiered(DispatchDense)
 		base := diffRandomNetwork(rng, 2+rng.IntN(3), 2)
 		s, _ := resolveTrajectory(t, rng, warm, base, 6, 0.08, DispatchDense)
 		skipped += s
@@ -103,35 +101,15 @@ func TestResolveDifferentialDense(t *testing.T) {
 	}
 }
 
-// TestResolveDifferentialPruned forces the dominance-pruned dispatch
-// (tiny thresholds) and replays drift trajectories through it, covering
-// the basis remap across changing pruned column subsets.
-func TestResolveDifferentialPruned(t *testing.T) {
-	rng := rand.New(rand.NewPCG(0x0e50, 2))
-	skipped := 0
-	for traj := 0; traj < 40; traj++ {
-		warm := NewSolver()
-		warm.PruneThreshold = 4 // prune everything bigger than 4 combos
-		base := diffRandomNetwork(rng, 3+rng.IntN(3), 2+rng.IntN(2))
-		s, _ := resolveTrajectory(t, rng, warm, base, 6, 0.08, DispatchPruned)
-		skipped += s
-	}
-	if skipped == 0 {
-		t.Fatal("no pruned re-solve ever skipped Phase I; the basis remap path is dead")
-	}
-}
-
-// TestResolveDifferentialCG forces column generation and replays drift
+// TestResolveDifferentialCG pins column generation and replays drift
 // trajectories through the persistent pool + warm basis path.
 func TestResolveDifferentialCG(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0x0e50, 3))
 	skipped, hits := 0, 0
 	for traj := 0; traj < 30; traj++ {
-		warm := NewSolver()
-		warm.DenseThreshold = -1 // force CG at any size
+		warm := newTiered(DispatchCG)
 		base := diffRandomNetwork(rng, 3+rng.IntN(4), 2+rng.IntN(2))
-		cold := NewSolver()
-		cold.DenseThreshold = -1
+		cold := newTiered(DispatchCG)
 
 		first, err := warm.Resolve(base)
 		if err != nil {
@@ -316,9 +294,9 @@ func TestResolveConcurrentSolvers(t *testing.T) {
 		go func(seed uint64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewPCG(seed, 99))
-			warm := NewSolver()
+			warm := newTiered(DispatchDense)
 			if seed%2 == 0 {
-				warm.DenseThreshold = -1 // half the workers on the CG path
+				warm.tier = DispatchCG // half the workers on the CG path
 			}
 			base := diffRandomNetwork(rng, 3, 2)
 			net := base

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -30,15 +31,53 @@ func diffRandomNetwork(rng *rand.Rand, paths, transmissions int) *Network {
 	return n
 }
 
+// tiered pins a Solver's one-shot and Resolve calls to one dispatch
+// tier, so differential tests can run both tiers on the same network.
+type tiered struct {
+	*Solver
+	tier Dispatch
+}
+
+func newTiered(tier Dispatch) *tiered { return &tiered{Solver: NewSolver(), tier: tier} }
+
+func (t *tiered) SolveQuality(n *Network) (*Solution, error) {
+	return t.solveOn(n, solveReq{obj: objQuality}, t.tier)
+}
+
+func (t *tiered) SolveMinCost(n *Network, minQuality float64) (*Solution, error) {
+	return t.solveOn(n, solveReq{obj: objMinCost, minQuality: minQuality}, t.tier)
+}
+
+func (t *tiered) SolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
+	return t.solveOn(n, solveReq{obj: objRandom, to: to}, t.tier)
+}
+
+func (t *tiered) Resolve(n *Network) (*Solution, error) {
+	return t.resolveOn(n, solveReq{obj: objQuality}, t.tier)
+}
+
+func (t *tiered) ResolveMinCost(n *Network, minQuality float64) (*Solution, error) {
+	return t.resolveOn(n, solveReq{obj: objMinCost, minQuality: minQuality}, t.tier)
+}
+
+func (t *tiered) ResolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
+	return t.resolveOn(n, solveReq{obj: objRandom, to: to}, t.tier)
+}
+
+// bothTiers is the dense and the column-generation tier, pinned.
+func bothTiers() []*tiered { return []*tiered{newTiered(DispatchDense), newTiered(DispatchCG)} }
+
 // TestPooledSolverMatchesExact is the differential property test for the
-// pooled float solve path: on ~200 randomized networks the reusable
-// Solver must agree with the exact rational simplex (the paper's CGAL
-// stand-in) on the optimal quality to 1e-6, and its solution must be
-// primal-feasible under the exact model's constraints (quality equals
-// the certified optimum, so feasibility + agreement pin the solution).
+// pooled float solve paths: on ~200 randomized networks both dispatch
+// tiers, pinned, must agree with the exact rational simplex (the paper's
+// CGAL stand-in) on the optimal quality to 1e-6, and their splits must
+// stay distributions. The trials rotate through the edge cases: no cost
+// at all (free paths, no budget row), lossless paths, single
+// transmission (m = 1), and a min-cost quality floor just above the
+// certified optimum, which both tiers must reject as ErrInfeasible.
 func TestPooledSolverMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xd1ff, 0x5eed))
-	s := NewSolver()
+	tiers := bothTiers()
 	for trial := 0; trial < 200; trial++ {
 		paths := 2 + rng.IntN(3)         // 2–4 paths
 		transmissions := 2 + rng.IntN(2) // 2–3 transmissions
@@ -47,12 +86,23 @@ func TestPooledSolverMatchesExact(t *testing.T) {
 			// under -race; the 4-path coverage stays at m = 2.
 			transmissions = 2
 		}
-		net := diffRandomNetwork(rng, paths, transmissions)
-
-		sol, err := s.SolveQuality(net)
-		if err != nil {
-			t.Fatalf("trial %d: pooled solve: %v", trial, err)
+		kind := [...]string{"plain", "cost-free", "lossless", "m=1", "infeasible-floor"}[trial%5]
+		if kind == "m=1" {
+			transmissions = 1
 		}
+		net := diffRandomNetwork(rng, paths, transmissions)
+		switch kind {
+		case "cost-free":
+			net.CostBound = math.Inf(1)
+			for i := range net.Paths {
+				net.Paths[i].Cost = 0
+			}
+		case "lossless":
+			for i := range net.Paths {
+				net.Paths[i].Loss = 0
+			}
+		}
+
 		enet, err := ExactFromFloat(net)
 		if err != nil {
 			t.Fatalf("trial %d: exact conversion: %v", trial, err)
@@ -62,35 +112,46 @@ func TestPooledSolverMatchesExact(t *testing.T) {
 			t.Fatalf("trial %d: exact solve: %v", trial, err)
 		}
 		exact, _ := esol.Quality.Float64()
-		if diff := math.Abs(sol.Quality - exact); diff > 1e-6 {
-			t.Errorf("trial %d (paths=%d m=%d): pooled quality %v vs exact %v (diff %v)",
-				trial, paths, transmissions, sol.Quality, exact, diff)
-		}
-		// The split must remain a distribution.
-		var mass float64
-		for _, x := range sol.X {
-			if x < -1e-9 {
-				t.Fatalf("trial %d: negative share %v", trial, x)
+
+		for _, s := range tiers {
+			sol, err := s.SolveQuality(net)
+			if err != nil {
+				t.Fatalf("trial %d (%s, %s): solve: %v", trial, kind, s.tier, err)
 			}
-			mass += x
-		}
-		if math.Abs(mass-1) > 1e-6 {
-			t.Errorf("trial %d: split mass %v, want 1", trial, mass)
+			if sol.Stats.Dispatch != s.tier {
+				t.Fatalf("trial %d: dispatch %v, want %v", trial, sol.Stats.Dispatch, s.tier)
+			}
+			if diff := math.Abs(sol.Quality - exact); diff > 1e-6 {
+				t.Errorf("trial %d (%s, %s, paths=%d m=%d): quality %v vs exact %v (diff %v)",
+					trial, kind, s.tier, paths, transmissions, sol.Quality, exact, diff)
+			}
+			// The split must remain a distribution.
+			var mass float64
+			for _, x := range sol.X {
+				if x < -1e-9 {
+					t.Fatalf("trial %d (%s): negative share %v", trial, s.tier, x)
+				}
+				mass += x
+			}
+			if math.Abs(mass-1) > 1e-6 {
+				t.Errorf("trial %d (%s): split mass %v, want 1", trial, s.tier, mass)
+			}
+			if kind == "infeasible-floor" && exact < 1-1e-3 {
+				if _, err := s.SolveMinCost(net, exact+1e-3); !errors.Is(err, ErrInfeasible) {
+					t.Errorf("trial %d (%s): floor above exact optimum %v: got %v, want ErrInfeasible",
+						trial, s.tier, exact, err)
+				}
+			}
 		}
 	}
 }
 
-// TestScalableSolversMatchExact: the scalable solve paths — dominance-
-// pruned dense enumeration and column generation — must agree with the
-// exact rational simplex (the paper's CGAL stand-in) to 1e-6 on ≥100
-// randomized networks, sizes where all three are tractable.
+// TestScalableSolversMatchExact: column generation, pinned at every
+// size, must agree with the exact rational simplex (the paper's CGAL
+// stand-in) to 1e-6 on ≥100 randomized networks.
 func TestScalableSolversMatchExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(0xabcd, 0xef01))
-	pruned := NewSolver()
-	pruned.PruneThreshold = 1 // force the pruner at every size
-	pruned.DenseThreshold = DenseLimit
-	cg := NewSolver()
-	cg.DenseThreshold = -1 // force column generation at every size
+	cg := newTiered(DispatchCG)
 	for trial := 0; trial < 120; trial++ {
 		paths := 2 + rng.IntN(3)         // 2–4 paths
 		transmissions := 2 + rng.IntN(2) // 2–3 transmissions
@@ -111,14 +172,6 @@ func TestScalableSolversMatchExact(t *testing.T) {
 		}
 		exact, _ := esol.Quality.Float64()
 
-		psol, err := pruned.SolveQuality(net)
-		if err != nil {
-			t.Fatalf("trial %d: pruned solve: %v", trial, err)
-		}
-		if diff := math.Abs(psol.Quality - exact); diff > 1e-6 {
-			t.Errorf("trial %d (paths=%d m=%d): pruned quality %v vs exact %v (diff %v, kept %d of %d)",
-				trial, paths, transmissions, psol.Quality, exact, diff, psol.Stats.Columns, psol.Stats.PrunedFrom)
-		}
 		csol, err := cg.SolveQuality(net)
 		if err != nil {
 			t.Fatalf("trial %d: cg solve: %v", trial, err)

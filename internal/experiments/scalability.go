@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
 	"dmc/internal/conc"
 	"dmc/internal/core"
+	"dmc/internal/lp"
 )
 
 // ScalPoint is one position of the scalability sweep: how the solver
@@ -18,7 +20,7 @@ type ScalPoint struct {
 	// Combinations is the full (n+1)^m space the dense solver would
 	// have to materialize (-1 when it exceeds core.DenseLimit).
 	Combinations int
-	// Dispatch is which solve core ran (dense, dense-pruned, cg).
+	// Dispatch is which solve core ran (dense, cg).
 	Dispatch core.Dispatch
 	// Columns is how many columns the master problem actually held.
 	Columns int
@@ -42,8 +44,8 @@ type ScalabilityConfig struct {
 	// Runs per point; 0 means 10.
 	Runs int
 	Seed uint64
-	// VerifyDense cross-checks the scalable solve against unpruned dense
-	// enumeration wherever the space fits core.DenseLimit.
+	// VerifyDense cross-checks the scalable solve against the full dense
+	// formulation (core.BuildLP) wherever the space is small enough.
 	VerifyDense bool
 	// Parallel fans grid points across GOMAXPROCS workers (off by
 	// default: the artifact is the per-solve wall time).
@@ -87,7 +89,7 @@ func (c ScalabilityConfig) runs() int {
 }
 
 // Scalability measures mean solve times across the configured grid with
-// the automatic dense/pruned/CG dispatch, optionally verifying the
+// the automatic dense/CG dispatch, optionally verifying the
 // scalable result against dense enumeration where that is tractable.
 func Scalability(cfg ScalabilityConfig) ([]ScalPoint, error) {
 	paths, trans := cfg.paths(), cfg.transmissions()
@@ -163,42 +165,71 @@ func denseSpace(paths, m int) int {
 }
 
 // verifyDenseLimit caps the combination spaces the sweep cross-checks
-// against unpruned dense enumeration: beyond it a dense verification
+// against the full dense formulation: beyond it a dense verification
 // solve costs orders of magnitude more than the measurement itself (the
 // core differential tests cover agreement exhaustively at small sizes).
 const verifyDenseLimit = 1 << 16
 
-// verifyAgainstDense re-solves with unpruned dense enumeration and
-// returns the gap to the scalable solve — quality gap for the quality
-// sweep, relative cost gap for the min-cost sweep; ok = false when the
-// space is too large to check. A dense-solve failure is an error, not a
+// verifyAgainstDense solves the full Eq. 10 formulation (core.BuildLP,
+// every combination a column) with the plain simplex and returns the
+// gap to the scalable solve — quality gap for the quality sweep,
+// relative cost gap for the min-cost sweep; ok = false when the space
+// is too large to check. A dense-solve failure is an error, not a
 // silent skip — the sweep's verification column must never mask a
 // broken solve as "not checked".
 func verifyAgainstDense(cfg ScalabilityConfig, net *core.Network, sol *core.Solution) (float64, bool, error) {
 	if space := denseSpace(len(net.Paths), net.Transmissions); space < 0 || space > verifyDenseLimit {
 		return 0, false, nil
 	}
-	dense := core.NewSolver()
-	dense.DenseThreshold = core.DenseLimit
-	dense.PruneThreshold = -1
-	var gap float64
+	var prob *lp.Problem
+	var err error
 	if cfg.MinCost {
-		dsol, err := dense.SolveMinCost(net, cfg.minQuality())
-		if err != nil {
-			return 0, false, err
-		}
-		gap = (sol.Cost() - dsol.Cost()) / (1 + dsol.Cost())
+		prob, err = minCostLP(net, cfg.minQuality())
 	} else {
-		dsol, err := dense.SolveQuality(net)
-		if err != nil {
-			return 0, false, err
+		prob, err = core.BuildLP(net)
+	}
+	if err != nil {
+		return 0, false, err
+	}
+	dsol, err := lp.Solve(prob)
+	if err != nil {
+		return 0, false, err
+	}
+	if dsol.Status != lp.Optimal {
+		return 0, false, fmt.Errorf("experiments: dense verification LP %v", dsol.Status)
+	}
+	if cfg.MinCost {
+		return math.Abs(sol.Cost()-dsol.Objective) / (1 + dsol.Objective), true, nil
+	}
+	return math.Abs(sol.Quality - dsol.Objective), true, nil
+}
+
+// minCostLP rewrites BuildLP's formulation into the §VI-A one: the cost
+// row becomes the objective (minimized) and the budget it enforced
+// gives way to the quality floor p·x′ ≥ minQuality. The budget is
+// lifted to a finite maximum first so BuildLP emits the cost row even
+// for an unbounded network.
+func minCostLP(net *core.Network, minQuality float64) (*lp.Problem, error) {
+	unbudgeted := *net
+	unbudgeted.CostBound = math.MaxFloat64
+	full, err := core.BuildLP(&unbudgeted)
+	if err != nil {
+		return nil, err
+	}
+	prob := &lp.Problem{Sense: lp.Minimize}
+	for _, c := range full.Constraints {
+		if c.Name == "cost" {
+			prob.Objective = c.Coeffs
+			continue
 		}
-		gap = sol.Quality - dsol.Quality
+		prob.Constraints = append(prob.Constraints, c)
 	}
-	if gap < 0 {
-		gap = -gap
+	if prob.Objective == nil {
+		return nil, fmt.Errorf("experiments: BuildLP emitted no cost row")
 	}
-	return gap, true, nil
+	prob.Constraints = append(prob.Constraints,
+		lp.Constraint{Name: "quality", Coeffs: full.Objective, Rel: lp.GE, RHS: minQuality})
+	return prob, nil
 }
 
 // RenderScalability renders the sweep.

@@ -166,17 +166,22 @@ func (s *Solver) SolveWith(p *Problem, opts Options) (*Solution, error) {
 		case installFailed:
 			sol = nil
 		}
-		if sol != nil && sol.Status == Optimal {
+		// Audit a warm optimum against the raw problem data, as
+		// AppendSolve does: the re-install and repair pivots run on
+		// perturbed coefficients, so their roundoff must be caught here
+		// rather than trusted.
+		if sol != nil && sol.Status == Optimal && Feasible(p, sol.X, 1e2*s.opts.Tol) {
 			return sol, nil
 		}
 		// A warm start must never change the outcome: a non-Optimal
 		// status — or an error such as the iteration limit — off a
 		// re-installed basis is either a genuine property of the problem
 		// (the cold path will reproduce it) or numerical corruption from
-		// a marginal refactorization. Either way — including a failed
-		// install, which leaves the tableau dirty — rebuild and solve
-		// cold. A reload is one O(rows·cols) copy pass, far cheaper than
-		// the Phase I it precedes.
+		// a marginal refactorization; so is an optimum the audit
+		// rejects. Either way — including a failed install, which
+		// leaves the tableau dirty — rebuild and solve cold. A reload is
+		// one O(rows·cols) copy pass, far cheaper than the Phase I it
+		// precedes.
 		s.load(p, opts)
 	}
 	return s.run(p, coldStart)

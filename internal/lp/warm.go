@@ -18,8 +18,8 @@ var fpWarmInstall = fault.Register("lp.warm.install")
 // A basis is compatible with a problem when the kept constraint rows
 // match in count, order, and relation, and the structural variable count
 // matches; Remap translates a basis across column-set changes (columns
-// appended, or a subset re-indexed) so column-generation masters and
-// pruned column pools can reuse it too. The zero value is not useful;
+// appended, or a subset re-indexed) so growing and trimmed
+// column-generation masters can reuse it too. The zero value is not useful;
 // bases come from Solution.Basis.
 type Basis struct {
 	cols   []int // basic column per kept row, in solver column indexing
@@ -292,9 +292,9 @@ func (s *Solver) installBasis(b *Basis) installResult {
 }
 
 // dualSimplex restores primal feasibility from a dual-feasible basis:
-// while some RHS is negative, the most-violated row leaves and the
-// column minimizing |z_j/a_ij| over decisively negative a_ij enters,
-// which keeps every reduced cost ≤ 0. Returns false — leaving the
+// while some RHS is negative, the most-violated row leaves and a
+// decisively negative a_ij column enters by a Harris ratio test, which
+// keeps every reduced cost ≤ tol. Returns false — leaving the
 // tableau dirty, so the caller must reload and solve cold — when no
 // eligible pivot exists (the problem may be infeasible, but that
 // verdict is left to the authoritative cold path) or the iteration cap
@@ -319,17 +319,27 @@ func (s *Solver) dualSimplex(z []float64, ftol float64) bool {
 			return true
 		}
 		row := s.a[leave*s.total : (leave+1)*s.total]
-		enter, best := -1, 0.0
+		// Harris two-pass ratio test. z[j] ≤ tol and aij < 0, so
+		// z[j]/aij ≥ ~0 measures how much dual slack the pivot burns,
+		// and the minimum keeps z ≤ 0 everywhere. The masters are
+		// massively dual degenerate — many z[j] sit at ~0 — so a plain
+		// minimum often lands on a 1e-6 pivot element, and a chain of
+		// those amplifies roundoff by orders of magnitude per pivot.
+		// Pass one bounds the ratio with every z[j] relaxed by tol;
+		// pass two takes the largest pivot element within that bound,
+		// which keeps z[j] ≤ tol.
+		tol := s.opts.Tol
+		bound := math.Inf(1)
+		for j := 0; j < s.artCol; j++ {
+			if aij := row[j]; aij < -dualPivotTol {
+				bound = math.Min(bound, (z[j]-tol)/aij)
+			}
+		}
+		enter, bestAbs := -1, 0.0
 		for j := 0; j < s.artCol; j++ {
 			aij := row[j]
-			if aij >= -dualPivotTol {
-				continue
-			}
-			// z[j] ≤ tol, aij < 0: ratio ≥ ~0 measures how much dual
-			// slack the pivot burns; the minimum keeps z ≤ 0 everywhere.
-			ratio := z[j] / aij
-			if enter < 0 || ratio < best {
-				enter, best = j, ratio
+			if aij < -dualPivotTol && z[j]/aij <= bound && -aij > bestAbs {
+				enter, bestAbs = j, -aij
 			}
 		}
 		if enter < 0 {

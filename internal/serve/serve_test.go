@@ -608,23 +608,27 @@ func TestServeGracefulShutdown(t *testing.T) {
 	srv.Close() // idempotent
 }
 
-// TestServeAdmission saturates a 1-deep queue with slow cold solves and
-// checks backpressure: 429s with a Retry-After header, a rejected
-// counter on /metrics, and no hung or dropped requests.
+// TestServeAdmission saturates a 1-deep queue behind a worker held in a
+// solve and checks backpressure: 429s with a Retry-After header, a
+// rejected counter on /metrics, and no hung or dropped requests. The
+// worker is held with a serve.exec latency fault so the queue fills
+// however fast the solver is.
 func TestServeAdmission(t *testing.T) {
+	defer fault.Deactivate()
 	srv, base := newTestServer(t, Config{Shards: 1, MaxQueue: 1, MaxBatch: 1})
 	rng := rand.New(rand.NewPCG(13, 4))
 	wire := testNetwork(rng, 7)
 	wire.Transmissions = 3
+	fault.Activate(always("serve.exec", fault.Latency, 100*time.Millisecond))
 
 	const n = 16
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	counts := map[int]int{}
 	var retryAfter string
-	for i := 0; i < n; i++ {
+	post := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			buf, _ := json.Marshal(scenario.SolveRequest{
 				Solve:     scenario.Solve{Network: wire},
@@ -643,7 +647,16 @@ func TestServeAdmission(t *testing.T) {
 				retryAfter = resp.Header.Get("Retry-After")
 			}
 			mu.Unlock()
-		}(i)
+		}()
+	}
+	post(0)
+	for deadline := time.Now().Add(5 * time.Second); fault.Stats()["serve.exec"].Fired < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the first solve to reach exec")
+		}
+	}
+	for i := 1; i < n; i++ {
+		post(i)
 	}
 	wg.Wait()
 
@@ -651,7 +664,7 @@ func TestServeAdmission(t *testing.T) {
 		t.Fatalf("unexpected status mix: %v", counts)
 	}
 	if counts[http.StatusTooManyRequests] == 0 {
-		t.Skip("queue never saturated on this machine; admission path not exercised")
+		t.Fatalf("queue never saturated behind a held worker: %v", counts)
 	}
 	if retryAfter == "" {
 		t.Error("429 response missing Retry-After header")
