@@ -14,6 +14,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -348,6 +349,59 @@ func BenchmarkSolveManyWarm(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := dmc.SolveMany(fleets[i%len(fleets)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkWarmPoolFleet re-solves the sessions of a 4096-session
+// WarmPool of 2–4-path × 2-transmission networks (the daemon's
+// tiny-fleet shapes, all on the dense tier) under drift, one session per
+// op, and reports the heap each session retains between solves as
+// B/session. The cold sub-benchmark one-shot solves the same networks:
+// the pair is the dense tier's warm-start margin.
+func BenchmarkWarmPoolFleet(b *testing.B) {
+	const rounds = 4
+	fleet := [rounds][]*dmc.Network{tinyFleet(1)}
+	rng := rand.New(rand.NewPCG(2, 2))
+	for r := 1; r < rounds; r++ {
+		fleet[r] = make([]*dmc.Network, fleetSessions)
+		for i, n := range fleet[r-1] {
+			fleet[r][i] = experiments.DriftNetwork(rng, n, 0.1)
+		}
+	}
+	keys := make([]string, fleetSessions)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("session-%d", i)
+	}
+	b.Run("warm", func(b *testing.B) {
+		before := heapAfterGC()
+		pool := dmc.NewWarmPool()
+		for i, n := range fleet[0] {
+			if _, err := pool.SolveSession(keys[i], n); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := i % fleetSessions
+			r := 1 + (i/fleetSessions)%(rounds-1)
+			if _, err := pool.SolveSession(keys[s], fleet[r][s]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(perSession(before, heapAfterGC()), "B/session")
+		runtime.KeepAlive(pool)
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := i % fleetSessions
+			r := 1 + (i/fleetSessions)%(rounds-1)
+			if _, err := dmc.SolveQuality(fleet[r][s]); err != nil {
 				b.Fatal(err)
 			}
 		}

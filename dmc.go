@@ -30,10 +30,11 @@
 // spaces, column generation for everything larger — including spaces
 // dense enumeration cannot materialize. Solver.Resolve, Solver.ResolveMinCost,
 // and Solver.ResolveQualityRandom re-solve incrementally for drifting
-// estimates: column tables rebuilt in place, CG pool retained and
+// estimates: column values re-evaluated in place, CG pool retained and
 // repriced, LP basis reused with newly priced columns appended onto the
-// hot tableau; NewWarmPool shares that warm state across SolveMany
-// workers for fleet-wide re-solve storms. SolveQualityExact solves with
+// solve's tableau; a Solver keeps only that warm start and borrows its
+// tableau and assembly workspace per solve. NewWarmPool shares that warm
+// state across SolveMany workers for fleet-wide re-solve storms. SolveQualityExact solves with
 // exact rational arithmetic, as the paper's CGAL setup.
 //
 // Scheduling: NewDeficit implements the paper's Algorithm 1, mapping the
@@ -96,15 +97,15 @@ type (
 	Timeouts = core.Timeouts
 	// TimeoutOptions tunes OptimalTimeouts' search.
 	TimeoutOptions = core.TimeoutOptions
-	// Solver is a reusable solve context: it owns the simplex tableau and
-	// combination-enumeration workspaces, so repeated solves of
-	// same-shaped networks allocate almost nothing after warmup. Its
-	// Resolve method solves incrementally: when only λ/µ/loss/delay
-	// drift between calls (the §VIII-A adaptive regime), column tables
-	// are rebuilt in place, the column-generation pool is retained and
-	// repriced, and the previous LP basis warm-starts the simplex —
-	// typically ≥5× faster than a cold solve at CG scale, with identical
-	// optima. Not safe for concurrent use; use one per goroutine, or
+	// Solver is a reusable solve context. It keeps only the warm start
+	// of its Resolve methods; the simplex tableau and the assembly
+	// workspace are borrowed per solve from package-wide pools, and the
+	// combination digits are shared per network shape. Resolve solves
+	// incrementally: when only λ/µ/loss/delay drift between calls (the
+	// §VIII-A adaptive regime), column values are re-evaluated in place,
+	// the column-generation pool is retained and repriced, and the
+	// previous LP basis warm-starts the simplex — typically ≥5× faster
+	// than a cold solve at CG scale, with identical optima. Not safe for concurrent use; use one per goroutine, or
 	// SolveMany.
 	Solver = core.Solver
 	// TimeoutCache memoizes OptimalTimeouts tables keyed by the delay
@@ -112,7 +113,7 @@ type (
 	// re-solves under λ/µ/loss drift reuse the table for free. Safe for
 	// concurrent use.
 	TimeoutCache = core.TimeoutCache
-	// WarmPool shares incremental re-solve state (column tables, CG
+	// WarmPool shares incremental re-solve state (column values, CG
 	// pools, LP bases) across fleet re-solves: a striped, shape-keyed
 	// pool of warm Solvers with positional (SolveMany, SolveManyMinCost,
 	// SolveManyRandom) and session-keyed (SolveSession, DropSession)
@@ -254,12 +255,12 @@ func NewNetwork(rate float64, lifetime time.Duration, paths ...Path) *Network {
 // Both reach the same optimum; Solution.Stats reports which core ran.
 func SolveQuality(n *Network) (*Solution, error) { return core.SolveQuality(n) }
 
-// NewSolver returns a reusable Solver for hot loops that solve many
-// same-shaped networks (adaptive re-solves, sweeps): tableau, basis, and
-// enumeration buffers are kept across calls. For repeated solves of ONE
-// network shape under drifting estimates, use the Solver's Resolve
-// method — the incremental path that reuses columns, the CG pool, and
-// the LP basis across solves.
+// NewSolver returns a reusable Solver. One-shot solves borrow their
+// tableau and workspaces from package-wide pools whether or not a Solver
+// is reused. For repeated solves of ONE network shape under drifting
+// estimates, use the Solver's Resolve method — the incremental path
+// that reuses the column storage, the CG pool, and the LP basis across
+// solves.
 func NewSolver() *Solver { return core.NewSolver() }
 
 // NewTimeoutCache returns an empty OptimalTimeouts cache keyed by the

@@ -8,12 +8,11 @@ import (
 
 // SolveMany solves the quality maximization (Eq. 10) for every network,
 // fanning the solves across min(GOMAXPROCS, len(nets)) workers. Each
-// solve draws a reusable Solver from the shared pool, so large sweeps
-// reuse tableau and enumeration memory instead of reallocating per
-// solve. Results are returned in input order. On error the first
-// failure (by scheduling order, not necessarily input order) is
-// returned together with the partial results; entries that did not
-// solve are nil.
+// solve borrows its tableau and assembly workspace from the shared
+// pools, so large sweeps reuse them instead of reallocating per solve.
+// Results are returned in input order. On error the first failure (by
+// scheduling order, not necessarily input order) is returned together
+// with the partial results; entries that did not solve are nil.
 //
 // SolveMany is safe for concurrent use from multiple goroutines.
 func SolveMany(nets []*Network) ([]*Solution, error) {

@@ -14,7 +14,7 @@ func BuildLP(n *Network) (*lp.Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols := m.computeColumns(make([]int, m.m))
+	cols := m.computeColumns()
 	return m.assembleProblemInto(nil, lp.Maximize, cols.delivery, cols, nil, true), nil
 }
 

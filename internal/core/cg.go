@@ -168,7 +168,21 @@ func (o *qualityObjective) seed(cs *colSet, scratch []int) { o.m.seedColumns(cs,
 //
 // A master that comes back infeasible returns errMasterInfeasible
 // (possible only for the min-cost objective's first master).
+//
+// The tableau is borrowed for the whole loop: AppendSolve continues it
+// from one iteration to the next, never across runCG calls (prevN
+// starts at -1, so the first master always loads in full). It is
+// returned without a defer, so a panic mid-loop drops it instead of
+// recycling it.
 func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, basis *lp.Basis, priceFloor, certTol float64, stop func(*lp.Solution) bool) (*lp.Problem, *lp.Solution, int, bool, error) {
+	lps := tableauPool.Get().(*lp.Solver)
+	prob, lpSol, iters, firstWarm, err := cgLoop(lps, sc, m, cs, obj, basis, priceFloor, certTol, stop)
+	tableauPool.Put(lps)
+	return prob, lpSol, iters, firstWarm, err
+}
+
+// cgLoop is runCG's loop on a borrowed tableau.
+func cgLoop(lps *lp.Solver, sc *asmScratch, m *model, cs *colSet, obj cgObjective, basis *lp.Basis, priceFloor, certTol float64, stop func(*lp.Solution) bool) (*lp.Problem, *lp.Solution, int, bool, error) {
 	chain := basis != nil
 	// The persistent-resolve paths (marked by their assembly scratch)
 	// need the final basis captured to warm-start the next re-solve;
@@ -192,7 +206,7 @@ func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, ba
 		opts := lp.Options{AssumeValid: true, CaptureBasis: capture || chain}
 		solved := false
 		if prevN >= 0 && n > prevN {
-			if sol, aerr := s.lps.AppendSolve(prob, prevN, opts); aerr == nil {
+			if sol, aerr := lps.AppendSolve(prob, prevN, opts); aerr == nil {
 				lpSol, solved = sol, true
 			}
 		}
@@ -200,7 +214,7 @@ func (s *Solver) runCG(sc *asmScratch, m *model, cs *colSet, obj cgObjective, ba
 			if basis != nil {
 				opts.WarmBasis = basis.Remap(n, nil)
 			}
-			lpSol, err = s.lps.SolveWith(prob, opts)
+			lpSol, err = lps.SolveWith(prob, opts)
 			if err != nil {
 				return nil, nil, 0, false, fmt.Errorf("core: solving restricted master: %w", err)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"time"
 )
 
@@ -15,27 +16,72 @@ type columns struct {
 	delivery []float64 // p_l (Eq. 12)
 	costs    []float64 // r_l (Eq. 16)
 	shares   []float64 // nCols × base, row-major
-	combos   []Combo   // headers into one backing array (dense) or owned slices
+	combos   []Combo   // the shared dense digit table (denseCombos), or owned slices
 }
 
 // len returns the number of columns currently held.
 func (c *columns) len() int { return len(c.delivery) }
 
-// newColumns allocates the flat column tables for nVars combinations of
-// trans path digits: one backing array carries every Combo, so the whole
-// structure costs five allocations regardless of nVars.
+// newColumns allocates the flat column tables for the dense space of
+// nVars combinations of trans path digits. The three value tables share
+// one backing array; the digits are the shape's shared table.
 func newColumns(nVars, base, trans int) *columns {
-	cols := &columns{
-		delivery: make([]float64, nVars),
-		costs:    make([]float64, nVars),
-		shares:   make([]float64, nVars*base),
-		combos:   make([]Combo, nVars),
+	backing := make([]float64, nVars*(base+2))
+	return &columns{
+		delivery: backing[:nVars:nVars],
+		costs:    backing[nVars : 2*nVars : 2*nVars],
+		shares:   backing[2*nVars:],
+		combos:   denseCombos(nVars, base, trans),
 	}
+}
+
+// comboTables caches the dense enumeration's digits per shape. The
+// digits of column l depend only on (base, trans) — Eq. 13's
+// little-endian odometer — so every solve and session of a shape shares
+// one immutable table instead of writing its own. Only spaces a solve
+// enumerates densely (at most denseMaxCombos combinations) are cached,
+// which bounds the cache to a few hundred small tables; larger BuildLP
+// spaces build theirs per call.
+var comboTables sync.Map // comboShape → []Combo
+
+type comboShape struct{ base, trans int }
+
+// denseCombos returns the digits of every combination of the (base,
+// trans) space in enumeration order. Cached tables are shared: callers
+// must not write to them.
+func denseCombos(nVars, base, trans int) []Combo {
+	if nVars > denseMaxCombos {
+		return enumerateCombos(nVars, base, trans)
+	}
+	key := comboShape{base, trans}
+	if t, ok := comboTables.Load(key); ok {
+		return t.([]Combo)
+	}
+	t, _ := comboTables.LoadOrStore(key, enumerateCombos(nVars, base, trans))
+	return t.([]Combo)
+}
+
+// enumerateCombos steps an odometer over the little-endian path digits
+// (Eq. 13). One backing array carries every Combo; each is capped at its
+// own digits, so an append to one never writes into the next.
+func enumerateCombos(nVars, base, trans int) []Combo {
+	combos := make([]Combo, nVars)
 	backing := make([]int, nVars*trans)
-	for l := 0; l < nVars; l++ {
-		cols.combos[l] = Combo(backing[l*trans : (l+1)*trans])
+	for l := range combos {
+		c := Combo(backing[l*trans : (l+1)*trans : (l+1)*trans])
+		if l > 0 {
+			copy(c, combos[l-1])
+			for k := 0; k < trans; k++ {
+				c[k]++
+				if c[k] < base {
+					break
+				}
+				c[k] = 0
+			}
+		}
+		combos[l] = c
 	}
-	return cols
+	return combos
 }
 
 // columnOf evaluates one combination's LP column — delivery probability,
@@ -72,43 +118,27 @@ func (m *model) columnOf(combo []int, share []float64) (delivery, cost float64) 
 	return delivery, cost
 }
 
-// computeColumns enumerates every combination once with an odometer over
-// the little-endian path digits (Eq. 13) and evaluates each column via
-// columnOf — the allocation-light dense enumeration. digits is
-// caller-provided scratch of length ≥ m.
-func (m *model) computeColumns(digits []int) *columns {
+// computeColumns evaluates every combination of the dense space once,
+// in Eq. 13 enumeration order, via columnOf.
+func (m *model) computeColumns() *columns {
 	cols := newColumns(m.nVars, m.base, m.m)
-	m.computeColumnsInto(cols, digits)
+	m.computeColumnsInto(cols)
 	return cols
 }
 
 // computeColumnsInto re-evaluates the dense column tables in place for a
 // model whose coefficients (λ, µ, loss, delay) drifted but whose shape
 // (path count, transmissions) did not: cols must have been built by
-// computeColumns for the same (nVars, base, trans). Every entry is
-// overwritten, so no allocation survives a re-solve — the heart of the
-// incremental warm path. Callers holding a Solution that shares cols see
-// it change underneath them; Solver.Resolve documents that contract.
-func (m *model) computeColumnsInto(cols *columns, digits []int) {
-	base, trans, nVars := m.base, m.m, m.nVars
+// newColumns for the same (nVars, base, trans). Every value is
+// overwritten and the digits are only read, so a re-solve allocates no
+// column storage — the heart of the incremental warm path. Callers
+// holding a Solution that shares cols see it change underneath them;
+// Solver.Resolve documents that contract.
+func (m *model) computeColumnsInto(cols *columns) {
+	base := m.base
 	clear(cols.shares)
-	digits = digits[:trans]
-	for k := range digits {
-		digits[k] = 0
-	}
-	for l := 0; l < nVars; l++ {
-		combo := cols.combos[l]
-		copy(combo, digits)
+	for l, combo := range cols.combos {
 		cols.delivery[l], cols.costs[l] = m.columnOf(combo, cols.shares[l*base:(l+1)*base])
-
-		// Odometer increment of the little-endian digits.
-		for k := 0; k < trans; k++ {
-			digits[k]++
-			if digits[k] < base {
-				break
-			}
-			digits[k] = 0
-		}
 	}
 }
 

@@ -65,7 +65,7 @@ func (m *model) randomColumns(to *Timeouts) *columns {
 // randomColumnsInto re-evaluates the dense random-delay column tables in
 // place for a model whose coefficients (delays, losses, costs, timeouts)
 // drifted but whose shape did not: cols must have been built for the
-// same (nVars, base, 2). Every entry is overwritten — the random-delay
+// same (nVars, base, 2). Every value is overwritten — the random-delay
 // analogue of computeColumnsInto on the incremental warm path.
 func (m *model) randomColumnsInto(cols *columns, to *Timeouts) {
 	n := m.net
@@ -84,8 +84,7 @@ func (m *model) randomColumnsInto(cols *columns, to *Timeouts) {
 	clear(cols.delivery)
 	clear(cols.costs)
 	for l := 0; l < nVars; l++ {
-		i, j := l%base, l/base
-		cols.combos[l][0], cols.combos[l][1] = i, j
+		i, j := l%base, l/base // cols.combos[l] in Eq. 13 order
 		share := cols.shares[l*base : (l+1)*base]
 
 		if m.isBlackhole(i) {

@@ -49,10 +49,12 @@ const (
 )
 
 // resolveState is the persistent warm-start state behind the Resolve
-// family: everything reusable across solves of same-shaped networks
-// whose λ/µ/loss/delay coefficients drift. It is invalidated whenever
-// the network shape (path count, transmissions, cost-boundedness), the
-// objective, or the dispatch tier changes.
+// family: the shape key, the previous optimal basis, and the storage
+// the previous Solution aliases — nothing a solve merely rebuilds. The
+// tableau and, on the dense tier, the assembly arena are borrowed per
+// solve. It is invalidated whenever the network shape (path count,
+// transmissions, cost-boundedness), the objective, or the dispatch tier
+// changes.
 type resolveState struct {
 	valid bool
 
@@ -63,8 +65,9 @@ type resolveState struct {
 	dispatch  Dispatch
 	objective solveObjective
 
-	// Dense dispatch: the full dense column table, rebuilt in place each
-	// re-solve.
+	// Dense dispatch: the column values the previous Solution aliases,
+	// re-evaluated in place each re-solve (the digits are the shape's
+	// shared table).
 	dense *columns
 
 	// CG dispatch: the persistent column pool and pricing oracle.
@@ -73,7 +76,8 @@ type resolveState struct {
 	// rnd holds the random-delay pair tables (objRandom); its buffers
 	// are reused across re-solves, the values re-tabulated each time.
 	rnd *randomObjective
-	// mcObj is the min-cost master objective buffer (objMinCost).
+	// mcObj is the min-cost master objective buffer (objMinCost on the
+	// CG dispatch; the Solution's master in Solver.asm references it).
 	mcObj []float64
 
 	// Optimal LP basis of the previous solve and, for the CG dispatch,
@@ -119,7 +123,10 @@ func (rs *resolveState) matches(n *Network, obj solveObjective, tier Dispatch) b
 // drifted, the solve reuses everything structural from last time instead
 // of starting cold:
 //
-//   - the dense column tables are rebuilt in place (no re-allocation),
+//   - the dense column values are re-evaluated in place (no
+//     re-allocation; the combination digits are a table shared by every
+//     solve of the shape, and the tableau and assembly arena are
+//     borrowed per solve),
 //   - the column-generation pool is retained and repriced, so the
 //     branch-and-bound pricing oracle only searches for columns the
 //     drift actually made attractive,
@@ -136,10 +143,11 @@ func (rs *resolveState) matches(n *Network, obj solveObjective, tier Dispatch) b
 //
 // The returned Solution shares column storage with the Solver's warm
 // state: it is valid until the next Resolve call on the same Solver,
-// which rebuilds that storage in place. Callers that need a solution to
-// outlive the next re-solve must extract what they need first (or use
-// SolveQuality, which never reuses result storage). Like every Solver
-// method, Resolve is not safe for concurrent use.
+// which rebuilds that storage in place. That includes Problem(), which
+// a dense Solution assembles on demand from those columns. Callers that
+// need a solution to outlive the next re-solve must extract what they
+// need first (or use SolveQuality, which never reuses result storage).
+// Like every Solver method, Resolve is not safe for concurrent use.
 func (s *Solver) Resolve(n *Network) (*Solution, error) {
 	return s.resolve(n, solveReq{obj: objQuality})
 }
@@ -160,8 +168,8 @@ func (s *Solver) ResolveMinCost(n *Network, minQuality float64) (*Solution, erro
 // delays, losses, and timeout tables, with the same warm-state reuse,
 // result-invalidation contract, and cold fallback as Resolve. The pair
 // tables are re-tabulated every call (they depend on the drifting
-// delays); what warms is the column pool, the LP basis, and all
-// storage.
+// delays); what warms is the column pool, the LP basis, and the
+// column storage.
 func (s *Solver) ResolveQualityRandom(n *Network, to *Timeouts) (*Solution, error) {
 	return s.resolve(n, solveReq{obj: objRandom, to: to})
 }
@@ -221,10 +229,10 @@ func (s *Solver) resolveCold(n *Network, req solveReq, tier Dispatch) (*Solution
 	return sol, nil
 }
 
-// resolveWarmDense re-solves the dense dispatch: the dense column table
-// is re-evaluated in place and solved from the previous optimal basis.
+// resolveWarmDense re-solves the dense dispatch: the dense column values
+// are re-evaluated in place and solved from the previous optimal basis.
 func (s *Solver) resolveWarmDense(n *Network, req solveReq) (*Solution, error) {
-	m, err := s.newDenseModel(n, req)
+	m, err := newDenseModel(n, req)
 	if err != nil {
 		return nil, err
 	}
@@ -235,14 +243,14 @@ func (s *Solver) resolveWarmDense(n *Network, req solveReq) (*Solution, error) {
 	if full.len() != m.nVars {
 		return nil, fmt.Errorf("core: warm state shape mismatch (%d cached columns, %d needed)", full.len(), m.nVars)
 	}
-	s.denseColumns(m, req, full)
+	denseColumns(m, req, full)
 
-	prob, lpSol, err := s.denseMaster(m, full, req, &s.asm,
+	lpSol, err := denseMaster(m, full, req,
 		lp.Options{AssumeValid: true, CaptureBasis: true, WarmBasis: s.rs.basis})
 	if err != nil {
 		return nil, err
 	}
-	out := finishSolution(m, prob, full, lpSol, req)
+	out := finishSolution(m, full, lpSol, req)
 	out.Stats = SolveStats{
 		Dispatch: DispatchDense, Columns: full.len(),
 		Warm: true, PhaseISkipped: lpSol.PhaseISkipped,
@@ -346,7 +354,7 @@ func (s *Solver) resolveWarmCG(n *Network, req solveReq) (*Solution, error) {
 	}
 	poolHits := cs.cols.len()
 
-	sol, lpSol, err := s.runObjectiveCG(&s.asm, m, cs, obj, basis, cgCertTolWarm, true)
+	sol, lpSol, err := s.runObjectiveCG(s.asm, m, cs, obj, basis, cgCertTolWarm, true)
 	if err != nil {
 		return nil, err
 	}

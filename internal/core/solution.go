@@ -37,8 +37,10 @@ type SolveStats struct {
 	CGIterations int
 	// Warm reports the solve ran incrementally from a Solver's
 	// persistent re-solve state (Solver.Resolve with a matching network
-	// shape): columns were rebuilt in place and, for column generation,
-	// the pooled columns were repriced instead of regenerated.
+	// shape): the LP started from the previous optimal basis, the
+	// column values were re-evaluated into the previous solve's storage
+	// and, for column generation, the pooled columns were repriced
+	// instead of regenerated.
 	Warm bool
 	// PhaseISkipped reports the first LP solve re-installed the previous
 	// optimal basis as a feasible starting point and skipped simplex
@@ -70,10 +72,15 @@ type Solution struct {
 	// Stats records which solve core ran and what it cost.
 	Stats SolveStats
 
-	m        *model
-	problem  *lp.Problem
-	combos   []Combo
-	delivery []float64
+	m *model
+	// problem is the solved master of a column-generation solution; nil
+	// for dense solutions, whose master Problem re-assembles from the
+	// tables below and the objective and floor they were solved for.
+	problem    *lp.Problem
+	obj        solveObjective
+	minQuality float64
+	combos     []Combo
+	delivery   []float64
 	// shares is the send-share matrix in flat row-major form:
 	// combination l's share of model path i at shares[l*base+i].
 	shares []float64
@@ -85,7 +92,8 @@ type Solution struct {
 
 // ComboShare pairs a path combination with its traffic share.
 type ComboShare struct {
-	// Combo is the path combination (model indexing: 0 = blackhole).
+	// Combo is the path combination (model indexing: 0 = blackhole). It
+	// shares the solution's digit storage; do not write to it.
 	Combo Combo
 	// Fraction is the share of application traffic assigned to it.
 	Fraction float64
@@ -182,8 +190,18 @@ func (s *Solution) Timeouts(margin time.Duration) []time.Duration {
 }
 
 // Problem exposes the underlying linear program (for diagnostics and the
-// solver-ablation benchmarks).
-func (s *Solution) Problem() *lp.Problem { return s.problem }
+// solver-ablation benchmarks). A column-generation solution returns the
+// final restricted master it solved. A dense solution keeps no master:
+// each call assembles a fresh copy from the solution's own column
+// tables, identical to the one solved. Either way it is valid exactly as
+// long as the Solution is (see Solver.Resolve).
+func (s *Solution) Problem() *lp.Problem {
+	if s.problem != nil {
+		return s.problem
+	}
+	cols := columns{delivery: s.delivery, costs: s.costs, shares: s.shares, combos: s.combos}
+	return s.m.denseProblem(nil, &cols, solveReq{obj: s.obj, minQuality: s.minQuality})
+}
 
 // Combos returns every path combination in variable order (parallel to X).
 // The slice is shared; callers must not mutate it.

@@ -30,39 +30,45 @@ func dispatchFor(n *Network) Dispatch {
 	return DispatchCG
 }
 
-// Solver is a reusable solve context: it owns an lp.Solver (tableau,
-// basis, and pivot workspaces) plus the combination-enumeration scratch,
-// so repeated solves of same-shaped networks reuse all of the solver's
-// working memory and allocate only the returned Solution. A Solver is
-// NOT safe for concurrent use; use one per goroutine or the SolveMany
-// batch API, which shards work across a pool of them.
+// Solver is a reusable solve context. What it keeps between calls is
+// only the warm start behind Resolve: the shape key, the last optimal
+// basis and the column values the returned Solution aliases (plus, on
+// the column-generation tier, the pool, the pricer and the assembly
+// arena that Solution's master lives in). Everything a solve rebuilds
+// anyway — the simplex tableau, the dense assembly arena, the
+// combination digits — is borrowed from package-wide pools for the
+// length of one solve, so an idle warm session costs its warm start and
+// no workspace. A Solver is NOT safe for concurrent use; use one per
+// goroutine or the SolveMany batch API.
 type Solver struct {
-	lps    lp.Solver
-	digits []int
-
 	// rs is the persistent incremental re-solve state behind Resolve;
 	// SolveQuality and the other one-shot entry points never touch it.
 	rs resolveState
-	// asm is the LP-assembly arena the Resolve paths rewrite in place
-	// (their returned Solutions are documented as invalidated by the
-	// next Resolve; the one-shot entry points assemble fresh storage).
-	asm asmScratch
+	// asm is the column-generation Resolve paths' assembly arena,
+	// allocated on the first CG prime: their Solutions pin the
+	// pooled-column master assembled here until the next Resolve. Dense
+	// solves borrow theirs per call (asmPool).
+	asm *asmScratch
 }
 
 // NewSolver returns a reusable Solver.
 func NewSolver() *Solver { return &Solver{} }
 
 // solverPool backs the package-level SolveQuality/SolveMinCost/
-// SolveQualityRandom wrappers and the SolveMany workers, so one-shot
-// callers still reuse solver memory across calls.
+// SolveQualityRandom wrappers and the SolveMany workers.
 var solverPool = sync.Pool{New: func() any { return NewSolver() }}
 
-func (s *Solver) scratch(m int) []int {
-	if cap(s.digits) < m {
-		s.digits = make([]int, m)
-	}
-	return s.digits[:m]
-}
+// tableauPool lends simplex tableaux to solves for the length of one
+// call: a dense master borrows one around its SolveWith, a
+// column-generation run for its whole loop (AppendSolve continues a
+// tableau only within that loop). Every borrower starts with a full
+// load, so nothing a previous borrower left behind is ever read.
+var tableauPool = sync.Pool{New: func() any { return lp.NewSolver() }}
+
+// asmPool lends dense solves their master-assembly arena. The returned
+// dense Solution does not keep it: Solution.Problem re-assembles the
+// master from the solution's own columns on demand.
+var asmPool = sync.Pool{New: func() any { return new(asmScratch) }}
 
 // SolveQuality solves the deterministic-delay quality maximization
 // (Eq. 10) and returns the optimal sending strategy. The problem is
@@ -116,25 +122,19 @@ func (s *Solver) solveOn(n *Network, req solveReq, tier Dispatch) (*Solution, er
 }
 
 // solveDense solves the request over the fully enumerated combination
-// space. prime marks the Resolve cold path: the assembly goes through
-// the Solver's reusable arena and the column tables and optimal basis
-// are kept for the next warm re-solve.
+// space. prime marks the Resolve cold path: the column tables and the
+// optimal basis are kept for the next warm re-solve.
 func (s *Solver) solveDense(n *Network, req solveReq, prime bool) (*Solution, error) {
-	m, err := s.newDenseModel(n, req)
+	m, err := newDenseModel(n, req)
 	if err != nil {
 		return nil, err
 	}
-	cols := s.denseColumns(m, req, nil)
-	var sc *asmScratch
-	opts := lp.Options{AssumeValid: true}
-	if prime {
-		sc, opts.CaptureBasis = &s.asm, true
-	}
-	prob, lpSol, err := s.denseMaster(m, cols, req, sc, opts)
+	cols := denseColumns(m, req, nil)
+	lpSol, err := denseMaster(m, cols, req, lp.Options{AssumeValid: true, CaptureBasis: prime})
 	if err != nil {
 		return nil, err
 	}
-	out := finishSolution(m, prob, cols, lpSol, req)
+	out := finishSolution(m, cols, lpSol, req)
 	out.Stats = SolveStats{Dispatch: DispatchDense, Columns: cols.len()}
 	if prime {
 		s.rs.dense = cols
@@ -151,14 +151,17 @@ func (s *Solver) solveDense(n *Network, req solveReq, prime bool) (*Solution, er
 func (s *Solver) solveCG(n *Network, req solveReq, prime bool) (*Solution, error) {
 	rs, sc := &resolveState{}, (*asmScratch)(nil)
 	if prime {
-		rs, sc = &s.rs, &s.asm
+		if s.asm == nil {
+			s.asm = new(asmScratch)
+		}
+		rs, sc = &s.rs, s.asm
 	}
 	m, obj, err := cgSetup(n, req, rs)
 	if err != nil {
 		return nil, err
 	}
 	cs := newColSet()
-	obj.seed(cs, s.scratch(m.m))
+	obj.seed(cs, make([]int, m.m))
 	sol, lpSol, err := s.runObjectiveCG(sc, m, cs, obj, nil, cgPriceTol, false)
 	if err != nil {
 		return nil, err
@@ -176,7 +179,7 @@ func (s *Solver) solveCG(n *Network, req solveReq, prime bool) (*Solution, error
 // newDenseModel builds the dense model for a request, checking the
 // request's structural preconditions (m = 2 and the timeout table for
 // the random objective).
-func (s *Solver) newDenseModel(n *Network, req solveReq) (*model, error) {
+func newDenseModel(n *Network, req solveReq) (*model, error) {
 	m, err := newModel(n)
 	if err != nil {
 		return nil, err
@@ -194,76 +197,82 @@ func (s *Solver) newDenseModel(n *Network, req solveReq) (*model, error) {
 
 // denseColumns evaluates the request's dense column tables, into cols
 // when non-nil (the warm in-place rebuild) or freshly.
-func (s *Solver) denseColumns(m *model, req solveReq, cols *columns) *columns {
-	if req.obj == objRandom {
-		if cols == nil {
-			return m.randomColumns(req.to)
-		}
-		m.randomColumnsInto(cols, req.to)
-		return cols
-	}
+func denseColumns(m *model, req solveReq, cols *columns) *columns {
 	if cols == nil {
-		return m.computeColumns(s.scratch(m.m))
+		cols = newColumns(m.nVars, m.base, m.m)
 	}
-	m.computeColumnsInto(cols, s.scratch(m.m))
+	if req.obj == objRandom {
+		m.randomColumnsInto(cols, req.to)
+	} else {
+		m.computeColumnsInto(cols)
+	}
 	return cols
 }
 
 // denseMaster assembles and solves the dense master for the request's
-// objective over the given columns, returning the LP solution (the
-// caller builds the public Solution). A non-nil sc routes the assembly
-// through the Solver's reusable arena (the Resolve paths); nil
-// assembles fresh storage. opts carries the warm basis when one
-// applies.
-func (s *Solver) denseMaster(m *model, cols *columns, req solveReq, sc *asmScratch, opts lp.Options) (*lp.Problem, *lp.Solution, error) {
-	var prob *lp.Problem
-	switch req.obj {
-	case objMinCost:
-		var obj []float64
-		if sc != nil {
-			s.rs.mcObj = grow(s.rs.mcObj, cols.len())
-			obj = s.rs.mcObj
-		} else {
-			obj = make([]float64, cols.len())
-		}
-		λ := m.net.Rate
-		for l, c := range cols.costs {
-			obj[l] = λ * c // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
-		}
-		quality := lp.Constraint{Name: "quality", Coeffs: cols.delivery, Rel: lp.GE, RHS: req.minQuality}
-		// No cost row: cost is the objective here, not a constraint (the
-		// §VI-A formulation replaces the budget µ with the quality floor).
-		prob = m.assembleProblemInto(sc, lp.Minimize, obj, cols, &quality, false)
-	default: // objQuality, objRandom share the Eq. 10 master shape
-		prob = m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, true)
-	}
-	lpSol, err := s.lps.SolveWith(prob, opts)
+// objective over the given columns; opts carries the warm basis when
+// one applies. The assembly arena and the tableau are borrowed for this
+// call only (the LP solution shares neither), so a panic mid-solve drops
+// them instead of returning them to their pools.
+func denseMaster(m *model, cols *columns, req solveReq, opts lp.Options) (*lp.Solution, error) {
+	sc := asmPool.Get().(*asmScratch)
+	lps := tableauPool.Get().(*lp.Solver)
+	lpSol, err := lps.SolveWith(m.denseProblem(sc, cols, req), opts)
+	tableauPool.Put(lps)
+	asmPool.Put(sc)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: solving LP: %w", err)
+		return nil, fmt.Errorf("core: solving LP: %w", err)
 	}
 	switch lpSol.Status {
 	case lp.Optimal:
 	case lp.Infeasible:
 		if req.obj == objMinCost {
-			return nil, nil, fmt.Errorf("core: quality %v unattainable on this network: %w", req.minQuality, ErrInfeasible)
+			return nil, fmt.Errorf("core: quality %v unattainable on this network: %w", req.minQuality, ErrInfeasible)
 		}
 		fallthrough
 	default:
-		return nil, nil, fmt.Errorf("core: LP unexpectedly %v", lpSol.Status)
+		return nil, fmt.Errorf("core: LP unexpectedly %v", lpSol.Status)
 	}
-	return prob, lpSol, nil
+	return lpSol, nil
+}
+
+// denseProblem assembles the dense master of the request's objective
+// over cols, into sc when non-nil or into fresh storage.
+func (m *model) denseProblem(sc *asmScratch, cols *columns, req solveReq) *lp.Problem {
+	if req.obj != objMinCost {
+		// objQuality and objRandom share the Eq. 10 master shape.
+		return m.assembleProblemInto(sc, lp.Maximize, cols.delivery, cols, nil, true)
+	}
+	var obj []float64
+	if sc != nil {
+		sc.obj = grow(sc.obj, cols.len())
+		obj = sc.obj
+	} else {
+		obj = make([]float64, cols.len())
+	}
+	λ := m.net.Rate
+	for l, c := range cols.costs {
+		obj[l] = λ * c // Eq. 21: (λ·cᵢ) + (λ·τᵢ·cⱼ), generalized
+	}
+	quality := lp.Constraint{Name: "quality", Coeffs: cols.delivery, Rel: lp.GE, RHS: req.minQuality}
+	// No cost row: cost is the objective here, not a constraint (the
+	// §VI-A formulation replaces the budget µ with the quality floor).
+	return m.assembleProblemInto(sc, lp.Minimize, obj, cols, &quality, false)
 }
 
 // finishSolution builds the public Solution of a solved dense master,
 // with the objective-appropriate quality: the LP objective for the
 // quality objectives, the recomputed p·x for min-cost (whose LP
-// objective is cost).
-func finishSolution(m *model, prob *lp.Problem, cols *columns, lpSol *lp.Solution, req solveReq) *Solution {
+// objective is cost). The Solution keeps the request's objective and
+// floor instead of the master, which Problem re-assembles on demand.
+func finishSolution(m *model, cols *columns, lpSol *lp.Solution, req solveReq) *Solution {
 	quality := lpSol.Objective
 	if req.obj == objMinCost {
 		quality = deliveredQuality(cols, lpSol.X)
 	}
-	return m.newSolution(prob, cols, lpSol.X, quality, nil)
+	out := m.newSolution(nil, cols, lpSol.X, quality, nil)
+	out.obj, out.minQuality = req.obj, req.minQuality
+	return out
 }
 
 // deliveredQuality is p·x over the given columns, clamped to [0, 1].
@@ -276,15 +285,33 @@ func deliveredQuality(cols *columns, x []float64) float64 {
 }
 
 // asmScratch is a reusable LP-assembly arena: the constraint headers,
-// the flat coefficient backing, and the Problem value itself, rewritten
-// in place by assembleProblemInto. Solve paths that document result
-// invalidation (Solver.Resolve) route their assemblies through one of
-// these so re-solves stop paying the dominant makeslice+clear cost of
-// problem construction.
+// the flat coefficient backing, the min-cost objective and the Problem
+// value itself, rewritten in place by assembleProblemInto. Dense solves
+// borrow one per solve from asmPool; a Solver's column-generation
+// Resolve paths keep their own (Solver.asm), so re-solves stop paying
+// the dominant makeslice+clear cost of problem construction.
 type asmScratch struct {
 	prob    lp.Problem
 	cons    []lp.Constraint
 	backing []float64
+	obj     []float64 // dense min-cost objective (denseProblem)
+}
+
+// bandwidthRowNames are the first bandwidth rows' constraint names,
+// formatted once rather than on every assembly.
+var bandwidthRowNames = func() (names [128]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("bandwidth[%d]", i)
+	}
+	return names
+}()
+
+// bandwidthRowName names the bandwidth row of real path i.
+func bandwidthRowName(i int) string {
+	if i < len(bandwidthRowNames) {
+		return bandwidthRowNames[i]
+	}
+	return fmt.Sprintf("bandwidth[%d]", i)
 }
 
 // assembleProblemInto builds the common LP skeleton around the given
@@ -294,8 +321,9 @@ type asmScratch struct {
 // constraint coefficient rows are carved from one flat backing array;
 // slices from cols are referenced, never copied, so the Problem shares
 // storage with the Solution's own column tables. It writes into a
-// reusable scratch arena; a nil scratch allocates fresh storage (the
-// one-shot solve paths, whose returned Solutions must stay immutable).
+// reusable scratch arena; a nil scratch allocates fresh storage (one-shot
+// column generation, BuildLP and Solution.Problem, whose results must
+// stay valid).
 func (m *model) assembleProblemInto(sc *asmScratch, sense lp.Sense, obj []float64, cols *columns, extra *lp.Constraint, costRow bool) *lp.Problem {
 	λ := m.net.Rate
 	base, nVars := m.base, cols.len()
@@ -335,7 +363,7 @@ func (m *model) assembleProblemInto(sc *asmScratch, sense lp.Sense, obj []float6
 			row[l] = λ * cols.shares[l*base+i]
 		}
 		cons = append(cons, lp.Constraint{
-			Name: fmt.Sprintf("bandwidth[%d]", i-1), Coeffs: row, Rel: lp.LE, RHS: m.paths[i].Bandwidth,
+			Name: bandwidthRowName(i - 1), Coeffs: row, Rel: lp.LE, RHS: m.paths[i].Bandwidth,
 		})
 	}
 	if extra != nil {
@@ -363,7 +391,8 @@ func (m *model) assembleProblemInto(sc *asmScratch, sense lp.Sense, obj []float6
 }
 
 // newSolution assembles the public Solution from a solved x′ vector,
-// sharing the column tables with the LP that produced it. colIndex maps
+// sharing the column tables with the LP that produced it; a nil prob
+// marks a dense solution, whose master Problem re-assembles. colIndex maps
 // a combination's packed key to its position in the column tables (the
 // CG pool); nil means the columns cover the dense space in enumeration
 // order.

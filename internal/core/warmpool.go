@@ -64,7 +64,11 @@ type sessionSlot struct {
 
 // WarmPool shares persistent incremental re-solve state across fleet
 // re-solve storms: a striped, shape-keyed pool of warm Solvers, with two
-// access idioms on top of it.
+// access idioms on top of it. A pooled Solver holds only its warm start
+// (shape key, last optimal basis, the column values its last Solution
+// aliases); the simplex tableau and the dense assembly arena are
+// borrowed per solve from package-wide pools, so a fleet of idle
+// sessions does not hold a solver workspace each.
 //
 // Session-keyed (SolveSession, SolveSessionMinCost, SolveSessionRandom,
 // DropSession): the caller names each session with a stable key and the
@@ -244,10 +248,10 @@ func (p *WarmPool) solveMany(obj solveObjective, nets []*Network, run func(sv *S
 // SolveSession solves the quality maximization (Eq. 10) on the warm
 // solver dedicated to the session key, creating one (seeded from the
 // shape stripes when a same-shaped solver is pooled) on first use. A
-// session re-solved under drift keeps its column tables, CG pool, and
-// LP basis across calls no matter how the surrounding fleet reorders,
-// grows, or shrinks — the keyed counterpart of SolveMany's positional
-// affinity.
+// session re-solved under drift keeps its warm start — LP basis, column
+// values, CG pool — across calls no matter how the surrounding fleet
+// reorders, grows, or shrinks — the keyed counterpart of SolveMany's
+// positional affinity.
 //
 // Calls on the same key serialize; distinct keys solve concurrently.
 // The returned Solution is valid until the session's next solve (it
@@ -329,8 +333,9 @@ func (p *WarmPool) DropSession(key string) {
 }
 
 // QuarantineSession discards the session's warm solver after a solver
-// panic: the poisoned tableau is dropped on the floor — never retired
-// to the shape-keyed stripes, where another session could inherit it —
+// panic: the poisoned warm state is dropped on the floor — never retired
+// to the shape-keyed stripes, where another session could inherit it
+// (the panicking solve already dropped its borrowed tableau) —
 // and replaced with a fresh cold solver, so the session's next solve
 // re-primes from scratch and later solves warm up again on clean state.
 // Quarantining an unknown or dropped key is a no-op. Callers must not

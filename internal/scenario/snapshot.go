@@ -98,14 +98,32 @@ type snapshotVersionProbe struct {
 }
 
 // SnapshotRecordVersion peeks at a raw record's schema version without
-// strict parsing. Use it before Load: a record from a newer schema must
-// be rejected by version, not mangled by an unknown-field error.
+// strict parsing: a record from a newer schema must be rejected by
+// version, not mangled by a field error. DecodeSnapshotRecord falls back
+// to it when a record does not parse.
 func SnapshotRecordVersion(data []byte) (int, error) {
 	var p snapshotVersionProbe
 	if err := json.Unmarshal(data, &p); err != nil {
 		return 0, fmt.Errorf("scenario: snapshot record is not JSON: %w", err)
 	}
 	return p.Version, nil
+}
+
+// DecodeSnapshotRecord parses one raw record into rec and checks its
+// schema version in a single JSON pass. Only a record that fails to
+// parse is probed for its version (SnapshotRecordVersion), so a newer
+// schema that changed a known field's type is still refused by version
+// rather than with a type error. The caller validates rec afterwards.
+func DecodeSnapshotRecord(data []byte, rec *SnapshotRecord) error {
+	if err := json.Unmarshal(data, rec); err != nil {
+		if v, perr := SnapshotRecordVersion(data); perr == nil {
+			if verr := CheckSnapshotVersion(v); verr != nil {
+				return verr
+			}
+		}
+		return fmt.Errorf("scenario: parsing snapshot record: %w", err)
+	}
+	return CheckSnapshotVersion(rec.Version)
 }
 
 // CheckSnapshotVersion rejects versions this build cannot read.

@@ -135,6 +135,40 @@ func TestSnapshotFutureVersionRejected(t *testing.T) {
 	}
 }
 
+// TestDecodeSnapshotRecordVersionFirst: decoding parses a record once,
+// yet a newer schema is refused by version whether its record parses
+// into this build's layout (unknown fields) or not (a known field
+// retyped); a current record decodes, and garbage reports a parse error.
+func TestDecodeSnapshotRecordVersionFirst(t *testing.T) {
+	for _, future := range []string{
+		`{"v": 3, "seq": 9, "kind": "session", "shard_affinity": "warm-7", "session": {"id": "s"}}`,
+		`{"v": 3, "seq": "9-a", "kind": "session", "session": {"id": "s"}}`,
+	} {
+		var rec SnapshotRecord
+		err := DecodeSnapshotRecord([]byte(future), &rec)
+		if err == nil || !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "newer") {
+			t.Errorf("%s: error %v, want a v3 version refusal", future, err)
+		}
+	}
+	data, err := json.Marshal(validRecord(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec SnapshotRecord
+	if err := DecodeSnapshotRecord(data, &rec); err != nil {
+		t.Fatalf("current record: %v", err)
+	}
+	if err := rec.Validate(); err != nil {
+		t.Fatalf("decoded record invalid: %v", err)
+	}
+	if err := DecodeSnapshotRecord([]byte("\x00\x01garbage"), &rec); err == nil || strings.Contains(err.Error(), "newer") {
+		t.Errorf("garbage: error %v, want a parse error", err)
+	}
+	if err := DecodeSnapshotRecord([]byte(`{"seq": "x"}`), &rec); err == nil || !strings.Contains(err.Error(), "missing schema version") {
+		t.Errorf("unversioned unparsable record: error %v, want the missing-version refusal", err)
+	}
+}
+
 // TestSnapshotV1RecordStillLoads is the backward half of the schema
 // contract: v1 records (written before the replication epoch existed)
 // must keep loading — parsing to epoch 0 and validating clean — because

@@ -268,16 +268,9 @@ func (p *persister) replayFile(path string, state map[string]*scenario.SessionSt
 		// The frame is intact: from here every problem is semantic, and
 		// semantic problems are hard errors — an unreadable-but-durable
 		// record means state this build must not silently discard.
-		v, err := scenario.SnapshotRecordVersion(buf)
-		if err != nil {
-			return fmt.Errorf("serve: %s offset %d: %w", filepath.Base(path), off, err)
-		}
-		if err := scenario.CheckSnapshotVersion(v); err != nil {
-			return fmt.Errorf("serve: %s offset %d: %w", filepath.Base(path), off, err)
-		}
 		var rec scenario.SnapshotRecord
-		if err := json.Unmarshal(buf, &rec); err != nil {
-			return fmt.Errorf("serve: %s offset %d: parsing record: %w", filepath.Base(path), off, err)
+		if err := scenario.DecodeSnapshotRecord(buf, &rec); err != nil {
+			return fmt.Errorf("serve: %s offset %d: %w", filepath.Base(path), off, err)
 		}
 		if err := rec.Validate(); err != nil {
 			return fmt.Errorf("serve: %s offset %d: %w", filepath.Base(path), off, err)

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -197,6 +199,44 @@ func TestPersisterFutureVersionRefusesBoot(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "newer") {
 		t.Errorf("error %q does not explain the version problem", err)
+	}
+}
+
+// retypedFutureFrame frames a record from a hypothetical v3 schema that
+// changed the type of a field this build knows (seq became a string):
+// the record does not parse into this build's layout at all, and must
+// still be refused by version, not with a type error.
+func retypedFutureFrame() []byte {
+	payload := []byte(`{"v": 3, "seq": "9-a", "kind": "session", "session": {"id": "a"}}`)
+	out := make([]byte, frameHeaderLen+len(payload))
+	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
+	copy(out[frameHeaderLen:], payload)
+	return out
+}
+
+// TestFutureVersionRetypedFieldRefused: a newer-schema record that no
+// longer parses into this build's layout is refused by version, both
+// at journal replay and on the replication stream.
+func TestFutureVersionRetypedFieldRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalFile), retypedFutureFrame(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err := openPersister(dir, 0, false)
+	if err == nil {
+		t.Fatal("retyped future-version journal record booted")
+	}
+	if !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "newer") {
+		t.Errorf("replay error %q does not explain the version problem", err)
+	}
+
+	_, err = parseFrames(retypedFutureFrame())
+	if err == nil {
+		t.Fatal("retyped future-version replication record accepted")
+	}
+	if !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "newer") {
+		t.Errorf("replication error %q does not explain the version problem", err)
 	}
 }
 

@@ -39,7 +39,6 @@ package serve
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -438,15 +437,8 @@ func parseFrames(data []byte) ([]*scenario.SnapshotRecord, error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return nil, fmt.Errorf("serve: replication body offset %d: checksum mismatch", off)
 		}
-		v, err := scenario.SnapshotRecordVersion(payload)
-		if err != nil {
-			return nil, fmt.Errorf("serve: replication body offset %d: %w", off, err)
-		}
-		if err := scenario.CheckSnapshotVersion(v); err != nil {
-			return nil, fmt.Errorf("serve: replication body offset %d: %w", off, err)
-		}
 		rec := new(scenario.SnapshotRecord)
-		if err := json.Unmarshal(payload, rec); err != nil {
+		if err := scenario.DecodeSnapshotRecord(payload, rec); err != nil {
 			return nil, fmt.Errorf("serve: replication body offset %d: %w", off, err)
 		}
 		if err := rec.Validate(); err != nil {
