@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolveRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadSimulation$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -run='^$$' -fuzz='^FuzzReplStream$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # One iteration of every benchmark: proves they run, not how fast.
 bench-smoke:

@@ -18,7 +18,9 @@
 //	POST   /v1/observe      {"session_id": "s1", "paths": [{"path": 0, "sent": 100,
 //	                         "lost": 3, "rtt_ms": [42.1]}]}
 //	DELETE /v1/session/{id}
-//	GET    /v1/replicate    follower journal stream (persistence only)
+//	GET    /v1/replicate    follower journal stream: upgrades to one
+//	                        full-duplex dmc-repl/1 connection per
+//	                        follower (persistence only)
 //	POST   /v1/promote      follower-only: promote this standby to primary
 //	GET    /metrics
 //	GET    /healthz
@@ -39,7 +41,11 @@
 //
 // Replication (see the README's "Replication & failover"): a primary
 // with -state-dir streams its journal to hot standbys started with
-// -follow <primary-url>. -repl-ack sync withholds 2xx until a follower
+// -follow <primary-url>, each over one long-lived upgraded connection
+// that carries journal chunks one way and durable acks the other. A
+// standby names itself to the primary by hostname and listen address,
+// so several standbys on one host keep separate lag entries.
+// -repl-ack sync withholds 2xx until a follower
 // has durably applied the record ("acknowledged means replicated");
 // the default async mode acknowledges on local fsync. A standby is
 // promoted by POST /v1/promote (in place, same process) or by
@@ -155,7 +161,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if *promote {
 			return errors.New("-follow and -promote are mutually exclusive: -promote boots a former follower's state dir as the new primary")
 		}
-		return runFollower(ctx, cfg, *follow, *addr, stdout)
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			return err
+		}
+		return runFollower(ctx, cfg, *follow, ln, stdout)
 	}
 
 	srv, err := serve.New(cfg)
@@ -170,19 +180,26 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *promote {
 		fmt.Fprintf(stdout, "dmcd: PROMOTED to primary at epoch %d; the old primary is fenced\n", srv.Epoch())
 	}
-	return serveHTTP(ctx, *addr, srv.Handler(), stdout, srv.QuiesceReplication, nil)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	return serveHTTP(ctx, ln, srv.Handler(), stdout, srv.QuiesceReplication, nil)
 }
 
 // runFollower runs the hot-standby loop: replicate from the primary,
 // serve the degraded read-only API, and promote in place when asked.
-func runFollower(ctx context.Context, cfg serve.Config, primary, addr string, stdout io.Writer) error {
+func runFollower(ctx context.Context, cfg serve.Config, primary string, ln net.Listener, stdout io.Writer) error {
 	sw := &handlerSwitch{}
 	var (
 		pmu      sync.Mutex
 		promoted *serve.Server
 		fol      *serve.Follower
 	)
-	id, _ := os.Hostname()
+	// The primary keys its follower table by this ID; the hostname alone
+	// would merge every standby on one host into one entry.
+	host, _ := os.Hostname()
+	id := host + "/" + ln.Addr().String()
 	f, err := serve.NewFollower(serve.FollowerConfig{
 		Primary:  primary,
 		StateDir: cfg.StateDir,
@@ -204,17 +221,18 @@ func runFollower(ctx context.Context, cfg serve.Config, primary, addr string, st
 		},
 	})
 	if err != nil {
+		ln.Close()
 		return err
 	}
 	fol = f
 	sw.set(fol.Handler())
 	fmt.Fprintf(stdout, "dmcd: following %s (replicated %d sessions so far)\n", primary, fol.Sessions())
 
-	return serveHTTP(ctx, addr, sw, stdout,
+	return serveHTTP(ctx, ln, sw, stdout,
 		func() {
-			// If promotion happened, this process is now a primary with
-			// followers possibly parked in long polls; wake them so the
-			// HTTP drain is not held hostage.
+			// If promotion happened, this process is now a primary that
+			// may hold follower streams and sync writes waiting on their
+			// acks; close and release them before the HTTP drain.
 			pmu.Lock()
 			defer pmu.Unlock()
 			if promoted != nil {
@@ -234,21 +252,18 @@ func runFollower(ctx context.Context, cfg serve.Config, primary, addr string, st
 		})
 }
 
-// serveHTTP binds addr and serves handler until ctx is canceled, then
-// shuts down gracefully: run quiesce (waking replication long-polls
-// that would stall the drain), stop accepting, drain in-flight HTTP,
-// then run closeFn (which drains the solver/replication side).
+// serveHTTP serves handler on ln until ctx is canceled, then shuts
+// down gracefully: run quiesce (closing replication streams and
+// releasing sync-ack waits), stop accepting, drain in-flight HTTP, then
+// run closeFn (which drains the solver/replication side).
 //
 // The timeouts harden the listener against slow clients (slowloris
-// headers, stalled bodies, dead keep-alives). The replication long poll
-// legitimately outlives ReadTimeout/WriteTimeout; its handler lifts
-// both per-request via http.ResponseController rather than this server
-// going unbounded for everyone.
-func serveHTTP(ctx context.Context, addr string, handler http.Handler, stdout io.Writer, quiesce, closeFn func()) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
+// headers, stalled bodies, dead keep-alives). A replication stream
+// legitimately outlives ReadTimeout/WriteTimeout; its handler takes the
+// connection over (hijacks it) and clears both, keeping its own
+// heartbeat deadline, rather than this server going unbounded for
+// everyone.
+func serveHTTP(ctx context.Context, ln net.Listener, handler http.Handler, stdout io.Writer, quiesce, closeFn func()) error {
 	fmt.Fprintf(stdout, "dmcd: listening on %s\n", ln.Addr())
 
 	hs := &http.Server{

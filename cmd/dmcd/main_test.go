@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"dmc/internal/serve"
 )
 
 // syncBuffer is a goroutine-safe strings buffer for run's stdout.
@@ -297,6 +300,98 @@ func TestRunFailover(t *testing.T) {
 	fcancel()
 	if err := <-fdone; err != nil {
 		t.Fatalf("promoted run failed on shutdown: %v", err)
+	}
+}
+
+// primaryFollowers reads the follower table from a primary's /metrics.
+func primaryFollowers(t *testing.T, base string) []serve.ReplFollowerMetrics {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m serve.Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Replication == nil {
+		t.Fatal("primary /metrics has no replication section")
+	}
+	return m.Replication.Followers
+}
+
+// TestRunTwoFollowersOneHost: two -follow standbys on one host share a
+// hostname but not a listen address, so the primary keeps one follower
+// entry for each. When one stops, its lag grows while the live one's
+// stays at zero — neither overwrites the other.
+func TestRunTwoFollowersOneHost(t *testing.T) {
+	pctx, pcancel := context.WithCancel(context.Background())
+	defer pcancel()
+	var pout syncBuffer
+	pbase, pdone := bootDaemon(t, pctx, &pout, "-state-dir", t.TempDir())
+	post := func() {
+		t.Helper()
+		resp, err := http.Post(pbase+"/v1/solve", "application/json", strings.NewReader(tableIIISolve))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/solve status %d", resp.StatusCode)
+		}
+	}
+	post()
+
+	actx, acancel := context.WithCancel(context.Background())
+	defer acancel()
+	var aout, bout syncBuffer
+	_, adone := bootDaemon(t, actx, &aout, "-state-dir", t.TempDir(), "-follow", pbase)
+	bctx, bcancel := context.WithCancel(context.Background())
+	defer bcancel()
+	_, bdone := bootDaemon(t, bctx, &bout, "-state-dir", t.TempDir(), "-follow", pbase)
+
+	// waitFollowers polls until the table holds two entries and ok
+	// accepts them.
+	waitFollowers := func(what string, ok func(fs []serve.ReplFollowerMetrics) bool) []serve.ReplFollowerMetrics {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			fs := primaryFollowers(t, pbase)
+			if len(fs) == 2 && ok(fs) {
+				return fs
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: follower table %+v", what, fs)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	fs := waitFollowers("both standbys caught up", func(fs []serve.ReplFollowerMetrics) bool {
+		return fs[0].LagBytes == 0 && fs[1].LagBytes == 0
+	})
+	if fs[0].ID == fs[1].ID {
+		t.Fatalf("two standbys share follower ID %q", fs[0].ID)
+	}
+
+	// Stop B, then write: A acks the new record, B's entry keeps its
+	// old position.
+	bcancel()
+	if err := <-bdone; err != nil {
+		t.Fatalf("standby B run failed on shutdown: %v", err)
+	}
+	post()
+	waitFollowers("one live, one stopped", func(fs []serve.ReplFollowerMetrics) bool {
+		return (fs[0].LagBytes == 0) != (fs[1].LagBytes == 0)
+	})
+
+	acancel()
+	if err := <-adone; err != nil {
+		t.Fatalf("standby A run failed on shutdown: %v", err)
+	}
+	pcancel()
+	if err := <-pdone; err != nil {
+		t.Fatalf("primary run failed on shutdown: %v", err)
 	}
 }
 

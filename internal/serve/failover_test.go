@@ -57,14 +57,13 @@ func failoverStorm(seed uint64) *fault.Plan {
 }
 
 // newTestFollower attaches a follower to a primary's test server with
-// timings tuned for tests (fast retries, short polls).
+// timings tuned for tests (fast retries).
 func newTestFollower(t *testing.T, primaryURL, dir string) *Follower {
 	t.Helper()
 	f, err := NewFollower(FollowerConfig{
 		Primary:       primaryURL,
 		StateDir:      dir,
 		ID:            filepath.Base(dir),
-		PollWait:      500 * time.Millisecond,
 		RetryInterval: 5 * time.Millisecond,
 	})
 	if err != nil {

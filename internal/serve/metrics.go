@@ -215,7 +215,8 @@ type ReplFollowerMetrics struct {
 	Resync     bool  `json:"resync,omitempty"`
 	// Epoch is the fencing epoch the follower last announced.
 	Epoch uint64 `json:"epoch"`
-	// LastSeenMs is how long ago the follower last polled.
+	// LastSeenMs is how long ago the follower last acked (or opened its
+	// stream).
 	LastSeenMs float64 `json:"last_seen_ms"`
 }
 
@@ -226,14 +227,17 @@ type ReplicationMetrics struct {
 	Mode      string                `json:"mode"`
 	Epoch     uint64                `json:"epoch"`
 	Followers []ReplFollowerMetrics `json:"followers"`
-	// ChunksServed/ResetsServed count replication responses by kind;
-	// SyncTimeouts counts sync-mode writes failed for want of a follower
-	// ack; FencedPolls counts polls rejected for carrying a newer epoch
-	// than this primary's (evidence this primary is a stale survivor).
-	ChunksServed uint64 `json:"chunks_served"`
-	ResetsServed uint64 `json:"resets_served"`
-	SyncTimeouts uint64 `json:"sync_timeouts"`
-	FencedPolls  uint64 `json:"fenced_polls"`
+	// StreamsOpened counts replication streams opened (one per follower
+	// connection, not per record); ChunksServed/ResetsServed count
+	// stream messages by kind; SyncTimeouts counts sync-mode writes
+	// failed for want of a follower ack; FencedPolls counts handshakes
+	// and acks rejected for carrying a newer epoch than this primary's
+	// (evidence this primary is a stale survivor).
+	StreamsOpened uint64 `json:"streams_opened"`
+	ChunksServed  uint64 `json:"chunks_served"`
+	ResetsServed  uint64 `json:"resets_served"`
+	SyncTimeouts  uint64 `json:"sync_timeouts"`
+	FencedPolls   uint64 `json:"fenced_polls"`
 }
 
 // Metrics is the full /metrics document.
@@ -291,13 +295,14 @@ func (s *Server) Metrics() Metrics {
 			TruncatedBytes:   p.truncatedBytes.Load(),
 		}
 		out.Replication = &ReplicationMetrics{
-			Mode:         s.cfg.ReplAck,
-			Epoch:        s.epoch,
-			Followers:    s.repl.lagSnapshot(),
-			ChunksServed: s.repl.chunksServed.Load(),
-			ResetsServed: s.repl.resetsServed.Load(),
-			SyncTimeouts: s.repl.syncTimeouts.Load(),
-			FencedPolls:  s.repl.fencedPolls.Load(),
+			Mode:          s.cfg.ReplAck,
+			Epoch:         s.epoch,
+			Followers:     s.repl.lagSnapshot(),
+			StreamsOpened: s.repl.streamsOpened.Load(),
+			ChunksServed:  s.repl.chunksServed.Load(),
+			ResetsServed:  s.repl.resetsServed.Load(),
+			SyncTimeouts:  s.repl.syncTimeouts.Load(),
+			FencedPolls:   s.repl.fencedPolls.Load(),
 		}
 	}
 	return out

@@ -2,16 +2,28 @@
 // followers, so an acknowledged session state survives not just a
 // process crash (PR 9's journal) but the loss of the node.
 //
-// Topology: pull-based. A follower long-polls the primary's
-// GET /v1/replicate from its durable journal position (gen, off); the
-// primary answers with a chunk of whole CRC32 frames, a 204 when the
-// follower is caught up, or — when the position is not addressable in
-// the current journal incarnation (the follower is new, diverged, or
-// the primary compacted) — a full snapshot+journal reset transfer. The
-// poll position doubles as the acknowledgement: a follower only
-// advances its cursor after the chunk is fsync'd into its own journal,
-// so the primary reading "poll at (g, o)" knows everything before
-// (g, o) is durable on that follower.
+// Topology: one full-duplex stream per follower. A follower opens it
+// with GET /v1/replicate?gen&off&recs&epoch&id from its durable
+// journal position (gen, off), asking to upgrade to dmc-repl/1; the
+// primary answers 101 Switching Protocols, takes the connection over,
+// and from then on sends messages: a chunk of whole CRC32 frames, a
+// full snapshot+journal reset transfer when the position is not
+// addressable in the current journal incarnation (the follower is new,
+// diverged, or the primary compacted), or an empty heartbeat after
+// replHeartbeat of idle time. Each message is a fixed little-endian
+// header (replMsgHeaderLen) followed by the same framed bytes the
+// journal holds. The follower answers every message with a 32-byte ack
+// carrying its new cursor, written only after the message is fsync'd
+// into its own journal and folded, so the primary reading "ack at
+// (g, o)" knows everything before (g, o) is durable on that follower.
+//
+// One message is in flight per stream: the primary reads the journal
+// for the next message only after the previous one's ack, so
+// everything appended meanwhile rides in one chunk — the follower's
+// fsync batches itself. The sender otherwise sleeps until the journal
+// changes. A follower that hears nothing for replDeadline (a few
+// heartbeats) drops the stream and reconnects after RetryInterval; a
+// primary prunes a follower whose acks stopped for staleFollowerAfter.
 //
 // Ack modes: async (default) acknowledges writes once locally
 // journaled; sync withholds the 2xx until at least one follower's
@@ -25,26 +37,31 @@
 // epoch and durably stamps it (a full snapshot at the new epoch), so
 // after a partition heals, a stale primary's stream is identifiable:
 // a follower that saw epoch E rejects any primary announcing less
-// (ErrFenced), and a primary 409s any poll carrying more — the stale
-// side must rejoin as a follower, taking a reset transfer that
-// discards its divergent suffix instead of merging it.
+// (ErrFenced), and a primary 409s any handshake (and closes any stream
+// whose ack) carrying more — the stale side must rejoin as a follower,
+// taking a reset transfer that discards its divergent suffix instead of
+// merging it.
 //
-// Lock discipline: replication network IO never runs under Server.smu
-// or a session mutex. The sender reads journal bytes under the
-// persister's own mutex (that mutex exists to serialize file IO) and
-// writes to the network after release; the follower parses and
-// validates a chunk before touching its own journal.
+// Lock discipline: replication network IO never runs under Server.smu,
+// a session mutex, or replState.mu. The sender reads journal bytes
+// under the persister's own mutex (that mutex exists to serialize file
+// IO) and writes to the network after release; the follower parses and
+// validates a message before touching its own journal, and its
+// connection mutex only guards the handle that halt closes.
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -62,8 +79,8 @@ const (
 )
 
 // The replication layer's injection seams: the primary's send path
-// (chunk and reset-transfer responses), the follower's apply path
-// (between receiving a chunk and persisting it), and promotion's
+// (the handshake and every message), the follower's apply path
+// (between receiving a message and persisting it), and promotion's
 // epoch-stamping snapshot.
 var (
 	fpReplSend    = fault.Register("repl.send")
@@ -76,34 +93,55 @@ var (
 // primary is a stale pre-failover survivor and must not be followed.
 var ErrFenced = errors.New("serve: replication stream fenced: primary epoch is stale")
 
+// errReplBodyTooLarge reports a message header announcing a body past
+// its kind's cap; the follower rejects it before allocating anything.
+var errReplBodyTooLarge = errors.New("serve: replication message body exceeds its cap")
+
+// replProto is the Upgrade token that opens a replication stream.
+const replProto = "dmc-repl/1"
+
+// Stream message kinds, the first field of a message header.
 const (
-	// maxReplWait caps a replication long-poll, whatever the follower
-	// asked for.
-	maxReplWait = 30 * time.Second
-	// staleFollowerAfter is how long a silent follower stays in the
-	// primary's follower table (and its lag in /healthz) before it is
-	// presumed gone and pruned.
-	staleFollowerAfter = 60 * time.Second
-	// maxReplBody bounds a follower's read of one replication response.
-	// A chunk is at most maxReplChunk; a reset transfer carries a full
-	// snapshot, which at millions of sessions is large but nowhere near
-	// this.
+	msgChunk uint32 = iota + 1
+	msgReset
+	msgHeartbeat
+)
+
+const (
+	// replMsgHeaderLen is a message header: kind, snapshot length and
+	// body length (uint32 each), then gen, off, recs and epoch (64 bits
+	// each), all little-endian. (gen, off) is the follower's cursor once
+	// it has durably applied the body; a reset body is snapshot-length
+	// bytes of snapshot followed by the journal.
+	replMsgHeaderLen = 44
+	// replAckLen is a follower ack: gen, off, recs and epoch (64 bits
+	// each, little-endian).
+	replAckLen = 32
+	// maxReplBody bounds a reset transfer's body, which carries a full
+	// snapshot: large at millions of sessions, but nowhere near this. A
+	// chunk is bounded by maxReplChunk.
 	maxReplBody = 1 << 30
 )
 
-// Replication response headers. The gen/off pair is the follower's
-// next poll position once it has durably applied the body.
-const (
-	hdrGen     = "X-Dmc-Gen"
-	hdrOff     = "X-Dmc-Off"
-	hdrRecs    = "X-Dmc-Recs"
-	hdrEpoch   = "X-Dmc-Epoch"
-	hdrReset   = "X-Dmc-Reset"
-	hdrSnapLen = "X-Dmc-Snapshot-Len"
-)
+// replHeartbeat is how long a stream may sit idle before the primary
+// sends an empty heartbeat, which the follower acks: an idle follower
+// stays fresh in the primary's table and an idle primary proves it is
+// alive. A variable only so tests can shorten it; the liveness windows
+// below scale with it.
+var replHeartbeat = 10 * time.Second
+
+// replDeadline is how long a follower waits for any message, and a
+// primary for an ack, before presuming the other side gone and closing
+// the stream.
+func replDeadline() time.Duration { return 3 * replHeartbeat }
+
+// staleFollowerAfter is how long a silent follower stays in the
+// primary's follower table (and its lag in /healthz) before it is
+// presumed gone and pruned.
+func staleFollowerAfter() time.Duration { return 6 * replHeartbeat }
 
 // followerInfo is the primary's view of one follower: its durable
-// position (the last poll's cursor), applied record count, fencing
+// position (the last ack's cursor), applied record count, fencing
 // epoch, and when it was last heard from.
 type followerInfo struct {
 	id       string
@@ -125,6 +163,11 @@ type ackWaiter struct {
 type replState struct {
 	s *Server
 
+	// ctx ends with shutdown, which releases every sync-ack waiter and
+	// closes every open stream.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu        sync.Mutex
 	followers map[string]*followerInfo
 	// acked is the replicated high-water mark: the maximum position any
@@ -134,34 +177,32 @@ type replState struct {
 	acked   replPos
 	waiters map[*ackWaiter]struct{}
 
-	stopped  chan struct{}
-	stopOnce sync.Once
-
-	chunksServed atomic.Uint64
-	resetsServed atomic.Uint64
-	syncTimeouts atomic.Uint64
-	fencedPolls  atomic.Uint64
+	streamsOpened atomic.Uint64
+	chunksServed  atomic.Uint64
+	resetsServed  atomic.Uint64
+	syncTimeouts  atomic.Uint64
+	fencedPolls   atomic.Uint64
 }
 
 func newReplState(s *Server) *replState {
+	ctx, cancel := context.WithCancel(context.Background())
 	return &replState{
 		s:         s,
+		ctx:       ctx,
+		cancel:    cancel,
 		followers: make(map[string]*followerInfo),
 		waiters:   make(map[*ackWaiter]struct{}),
-		stopped:   make(chan struct{}),
 	}
 }
 
-// shutdown releases every sync-ack waiter and future waits; their
+// shutdown releases every sync-ack waiter and future waits — their
 // records are locally durable, only the replication confirmation is
-// abandoned.
-func (r *replState) shutdown() {
-	r.stopOnce.Do(func() { close(r.stopped) })
-}
+// abandoned — and closes every stream; new handshakes answer 503.
+func (r *replState) shutdown() { r.cancel() }
 
-// observeFollower folds one poll into the follower table and advances
-// the acked high-water mark, waking satisfied sync waiters. No IO runs
-// under r.mu.
+// observeFollower folds one handshake or ack into the follower table
+// and advances the acked high-water mark, waking satisfied sync
+// waiters. No IO runs under r.mu.
 func (r *replState) observeFollower(id string, pos replPos, recs int64, epoch uint64) {
 	now := time.Now()
 	r.mu.Lock()
@@ -206,7 +247,7 @@ func (r *replState) waitAcked(pos replPos) error {
 	select {
 	case <-w.ch:
 		return nil
-	case <-r.stopped:
+	case <-r.ctx.Done():
 		r.drop(w)
 		return fmt.Errorf("serve: shutting down before a follower acknowledged the write (locally durable, replication unconfirmed)")
 	case <-t.C:
@@ -248,11 +289,12 @@ func (r *replState) lagSnapshot() []ReplFollowerMetrics {
 	cur := r.s.persist.cursor()
 	curRecs := r.s.persist.recordsInGen()
 	now := time.Now()
+	stale := staleFollowerAfter()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]ReplFollowerMetrics, 0, len(r.followers))
 	for id, f := range r.followers {
-		if now.Sub(f.lastSeen) > staleFollowerAfter {
+		if now.Sub(f.lastSeen) > stale {
 			delete(r.followers, id)
 			continue
 		}
@@ -265,7 +307,7 @@ func (r *replState) lagSnapshot() []ReplFollowerMetrics {
 			m.LagBytes = cur.off - f.pos.off
 			m.LagRecords = curRecs - f.recs
 		} else {
-			// A cursor from another incarnation: the next poll takes a
+			// A cursor from another incarnation: the next message is a
 			// reset transfer, so the whole current journal is outstanding.
 			m.Resync = true
 			m.LagBytes = cur.off
@@ -298,10 +340,12 @@ func (r *replState) replHealth() []string {
 	return out
 }
 
-// handleReplicate is the primary's side of the stream: one long-poll
-// from one follower. Registered only when persistence is on.
+// handleReplicate is the primary's side of the stream: it checks one
+// follower's handshake, upgrades the connection, and streams until the
+// follower goes away, fences this primary, or replication shuts down.
+// Registered only when persistence is on.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
+	if s.closed.Load() || s.repl.ctx.Err() != nil {
 		writeErr(w, http.StatusServiceUnavailable, "serve: shutting down")
 		return
 	}
@@ -310,107 +354,221 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	off, _ := strconv.ParseInt(q.Get("off"), 10, 64)
 	recs, _ := strconv.ParseInt(q.Get("recs"), 10, 64)
 	fepoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
-	waitMs, _ := strconv.Atoi(q.Get("wait_ms"))
 	id := q.Get("id")
 	if id == "" {
 		id = r.RemoteAddr
 	}
 	if fepoch > s.epoch {
-		// The poller has seen a newer primary than us: we are the stale
+		// The follower has seen a newer primary than us: we are the stale
 		// survivor of a failover. Refuse to serve — feeding our divergent
 		// journal to the fleet is exactly what fencing exists to prevent.
 		s.repl.fencedPolls.Add(1)
 		writeErr(w, http.StatusConflict,
-			"serve: replication poll carries epoch %d, newer than this primary's %d; this primary is fenced and must rejoin as a follower", fepoch, s.epoch)
+			"serve: replication handshake carries epoch %d, newer than this primary's %d; this primary is fenced and must rejoin as a follower", fepoch, s.epoch)
 		return
 	}
 	if err := fpReplSend.Hit(); err != nil {
 		writeErr(w, http.StatusInternalServerError, "serve: replication send: %v", err)
 		return
 	}
+	if !strings.EqualFold(r.Header.Get("Upgrade"), replProto) || !headerHasToken(r.Header["Connection"], "upgrade") {
+		w.Header().Set("Upgrade", replProto)
+		w.Header().Set("Connection", "Upgrade")
+		writeErr(w, http.StatusUpgradeRequired, "serve: /v1/replicate is a %s stream: send Connection: Upgrade and Upgrade: %s", replProto, replProto)
+		return
+	}
 	pos := replPos{gen: gen, off: off}
-	// The poll position is the follower's durable acknowledgement.
+	// The handshake position is the follower's durable acknowledgement.
 	s.repl.observeFollower(id, pos, recs, fepoch)
-
-	// Long-polls legitimately outlive the enclosing http.Server's read
-	// and write timeouts (cmd/dmcd sets them against slowloris clients);
-	// lift both for this response only. The read deadline matters too:
-	// the server's background connection read (its client-abort
-	// detector) would otherwise trip mid-park and cancel the poll.
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Time{})
-	_ = rc.SetWriteDeadline(time.Time{})
-
-	wait := time.Duration(waitMs) * time.Millisecond
-	if wait < 0 {
-		wait = 0
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "serve: replication upgrade: %v", err)
+		return
 	}
-	if wait > maxReplWait {
-		wait = maxReplWait
+	defer conn.Close()
+	// The stream outlives the http.Server's read and write timeouts
+	// (cmd/dmcd sets them against slowloris clients); it keeps its own
+	// liveness deadline instead.
+	if conn.SetDeadline(time.Time{}) != nil {
+		return
 	}
-	deadline := time.Now().Add(wait)
-	h := w.Header()
+	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nUpgrade: "+replProto+"\r\nConnection: Upgrade\r\n\r\n"); err != nil {
+		return
+	}
+	s.repl.streamsOpened.Add(1)
+	s.repl.stream(conn, brw.Reader, id, pos)
+}
+
+// headerHasToken reports whether a comma-separated header carries tok,
+// case-insensitively (Connection: keep-alive, Upgrade).
+func headerHasToken(values []string, tok string) bool {
+	for _, v := range values {
+		for _, t := range strings.Split(v, ",") {
+			if strings.EqualFold(strings.TrimSpace(t), tok) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// stream serves one follower until the connection fails, the follower
+// goes silent or fences us, or replication shuts down: read the
+// journal from the follower's cursor, send one message, wait for its
+// ack, repeat. Only one message is in flight, so whatever is appended
+// while the follower applies the last one rides in the next chunk.
+// While caught up it sleeps on journal change and heartbeats after
+// replHeartbeat of idle time.
+func (r *replState) stream(conn net.Conn, br *bufio.Reader, id string, pos replPos) {
+	// Shutdown closes the connection, unblocking any read or write.
+	defer context.AfterFunc(r.ctx, func() { conn.Close() })()
+	p := r.s.persist
+	every, deadline := replHeartbeat, replDeadline()
+	idle := time.NewTimer(every)
+	defer idle.Stop()
+	var hdr [replMsgHeaderLen]byte
+	var ack [replAckLen]byte
 	for {
 		// Grab the change channel before reading: an append landing
 		// between the read and the wait must wake us.
-		ch := s.persist.waitCh()
-		data, next, n, reset, err := s.persist.readJournal(pos)
+		changed := p.waitCh()
+		data, next, n, reset, err := p.readJournal(pos)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		if reset {
-			snap, jour, tail, jrecs, err := s.persist.readForReset()
+		m := replMsg{kind: msgChunk, bodyLen: len(data), next: next, recs: int64(n), epoch: r.s.epoch}
+		msg := net.Buffers{hdr[:], data}
+		switch {
+		case reset:
+			snap, jour, tail, jrecs, err := p.readForReset()
 			if err != nil {
-				writeErr(w, http.StatusInternalServerError, "%v", err)
 				return
 			}
-			s.repl.resetsServed.Add(1)
-			h.Set(hdrReset, "1")
-			h.Set(hdrSnapLen, strconv.Itoa(len(snap)))
-			h.Set(hdrGen, strconv.FormatUint(tail.gen, 10))
-			h.Set(hdrOff, strconv.FormatInt(tail.off, 10))
-			h.Set(hdrRecs, strconv.FormatInt(jrecs, 10))
-			h.Set(hdrEpoch, strconv.FormatUint(s.epoch, 10))
-			h.Set("Content-Type", "application/octet-stream")
-			w.Write(snap)
-			w.Write(jour)
+			m = replMsg{kind: msgReset, snapLen: len(snap), bodyLen: len(snap) + len(jour), next: tail, recs: jrecs, epoch: r.s.epoch}
+			msg = net.Buffers{hdr[:], snap, jour}
+		case len(data) == 0:
+			idle.Reset(every)
+			select {
+			case <-changed:
+				continue
+			case <-r.ctx.Done():
+				return
+			case <-idle.C:
+			}
+			m = replMsg{kind: msgHeartbeat, next: pos, epoch: r.s.epoch}
+			msg = msg[:1]
+		}
+		if fpReplSend.Hit() != nil {
 			return
 		}
-		if len(data) > 0 {
-			s.repl.chunksServed.Add(1)
-			h.Set(hdrGen, strconv.FormatUint(next.gen, 10))
-			h.Set(hdrOff, strconv.FormatInt(next.off, 10))
-			h.Set(hdrRecs, strconv.Itoa(n))
-			h.Set(hdrEpoch, strconv.FormatUint(s.epoch, 10))
-			h.Set("Content-Type", "application/octet-stream")
-			w.Write(data)
+		m.put(hdr[:])
+		if _, err := msg.WriteTo(conn); err != nil {
 			return
 		}
-		// Caught up: park until the journal changes or the poll expires.
-		left := time.Until(deadline)
-		if left <= 0 {
-			h.Set(hdrGen, strconv.FormatUint(pos.gen, 10))
-			h.Set(hdrOff, strconv.FormatInt(pos.off, 10))
-			h.Set(hdrEpoch, strconv.FormatUint(s.epoch, 10))
-			w.WriteHeader(http.StatusNoContent)
+		switch m.kind {
+		case msgChunk:
+			r.chunksServed.Add(1)
+		case msgReset:
+			r.resetsServed.Add(1)
+		}
+		if conn.SetReadDeadline(time.Now().Add(deadline)) != nil {
 			return
 		}
-		t := time.NewTimer(left)
-		select {
-		case <-ch:
-			t.Stop()
-		case <-t.C:
-		case <-r.Context().Done():
-			t.Stop()
+		if _, err := io.ReadFull(br, ack[:]); err != nil {
 			return
-		case <-s.repl.stopped:
-			t.Stop()
-			h.Set(hdrEpoch, strconv.FormatUint(s.epoch, 10))
-			w.WriteHeader(http.StatusNoContent)
+		}
+		apos, arecs, aepoch := decodeAck(ack[:])
+		if aepoch > r.s.epoch {
+			// Same verdict as a handshake carrying a newer epoch.
+			r.fencedPolls.Add(1)
 			return
+		}
+		r.observeFollower(id, apos, arecs, aepoch)
+		pos = apos
+	}
+}
+
+// replMsg is one stream message's header (see replMsgHeaderLen).
+type replMsg struct {
+	kind             uint32
+	snapLen, bodyLen int
+	next             replPos
+	recs             int64
+	epoch            uint64
+}
+
+func (m replMsg) put(b []byte) {
+	le := binary.LittleEndian
+	le.PutUint32(b[0:], m.kind)
+	le.PutUint32(b[4:], uint32(m.snapLen))
+	le.PutUint32(b[8:], uint32(m.bodyLen))
+	le.PutUint64(b[12:], m.next.gen)
+	le.PutUint64(b[20:], uint64(m.next.off))
+	le.PutUint64(b[28:], uint64(m.recs))
+	le.PutUint64(b[36:], m.epoch)
+}
+
+// readReplMsg reads one message: its header, whose lengths are checked
+// against the kind's cap before anything is allocated, then its body
+// into buf, grown only as bytes arrive. The returned body aliases buf's
+// storage when it fits.
+func readReplMsg(r io.Reader, hdr *[replMsgHeaderLen]byte, buf []byte) (replMsg, []byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return replMsg{}, buf, err
+	}
+	le := binary.LittleEndian
+	kind, snapLen, bodyLen := le.Uint32(hdr[0:]), le.Uint32(hdr[4:]), le.Uint32(hdr[8:])
+	var limit uint32
+	switch kind {
+	case msgChunk:
+		limit = maxReplChunk
+	case msgReset:
+		limit = maxReplBody
+	case msgHeartbeat:
+	default:
+		return replMsg{}, buf, fmt.Errorf("serve: replication message of unknown kind %d", kind)
+	}
+	if bodyLen > limit {
+		return replMsg{}, buf, fmt.Errorf("%w: kind %d announces %d bytes (cap %d)", errReplBodyTooLarge, kind, bodyLen, limit)
+	}
+	if snapLen > bodyLen || (kind != msgReset && snapLen != 0) {
+		return replMsg{}, buf, fmt.Errorf("serve: replication message of kind %d with snapshot length %d (body %d bytes)", kind, snapLen, bodyLen)
+	}
+	m := replMsg{
+		kind:    kind,
+		snapLen: int(snapLen),
+		bodyLen: int(bodyLen),
+		next:    replPos{gen: le.Uint64(hdr[12:]), off: int64(le.Uint64(hdr[20:]))},
+		recs:    int64(le.Uint64(hdr[28:])),
+		epoch:   le.Uint64(hdr[36:]),
+	}
+	buf = buf[:0]
+	for len(buf) < m.bodyLen {
+		step := min(m.bodyLen-len(buf), maxReplChunk)
+		buf = slices.Grow(buf, step)
+		n, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return replMsg{}, buf, fmt.Errorf("serve: replication message torn after %d of %d body bytes: %w", len(buf), m.bodyLen, err)
 		}
 	}
+	return m, buf, nil
+}
+
+func putAck(b []byte, pos replPos, recs int64, epoch uint64) {
+	le := binary.LittleEndian
+	le.PutUint64(b[0:], pos.gen)
+	le.PutUint64(b[8:], uint64(pos.off))
+	le.PutUint64(b[16:], uint64(recs))
+	le.PutUint64(b[24:], epoch)
+}
+
+func decodeAck(b []byte) (pos replPos, recs int64, epoch uint64) {
+	le := binary.LittleEndian
+	return replPos{gen: le.Uint64(b[0:]), off: int64(le.Uint64(b[8:]))}, int64(le.Uint64(b[16:])), le.Uint64(b[24:])
 }
 
 // parseFrames decodes and validates a replication body's frames. Every
@@ -459,15 +617,17 @@ type FollowerConfig struct {
 	// primary's, so promotion is just booting a Server from it.
 	StateDir string
 	// ID names this follower in the primary's follower table and
-	// metrics. Empty defaults to "follower".
+	// metrics. Followers of one primary need distinct IDs: two that
+	// share one also share a table entry, and their lag and health
+	// overwrite each other. Empty defaults to "follower".
 	ID string
-	// PollWait is the long-poll wait the follower requests (capped
-	// server-side at 30s). Zero means 10s.
-	PollWait time.Duration
-	// RetryInterval is the backoff after a failed poll. Zero means 500ms.
+	// RetryInterval is the backoff before reopening the stream after it
+	// failed, including after the primary fell silent past the
+	// heartbeat deadline. Zero means 500ms.
 	RetryInterval time.Duration
-	// Client overrides the HTTP client (tests). Nil means a dedicated
-	// client with no overall timeout — the long poll IS the timeout.
+	// Client overrides the HTTP client that opens the stream (tests).
+	// Nil means a dedicated client with no overall timeout: the stream
+	// is long-lived and keeps its own heartbeat deadline.
 	Client *http.Client
 	// OnPromote, when set, is invoked by the follower's POST /v1/promote
 	// admin endpoint. The callback owns the actual promotion (typically
@@ -480,9 +640,6 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 	if c.ID == "" {
 		c.ID = "follower"
 	}
-	if c.PollWait == 0 {
-		c.PollWait = 10 * time.Second
-	}
 	if c.RetryInterval == 0 {
 		c.RetryInterval = 500 * time.Millisecond
 	}
@@ -492,8 +649,8 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 	return c
 }
 
-// Follower is a hot standby: it pulls the primary's journal stream into
-// its own state dir (same durability guarantees) and serves degraded
+// Follower is a hot standby: it streams the primary's journal into its
+// own state dir (same durability guarantees) and serves degraded
 // read-only answers from the replicated last-good results. Promote
 // turns it into a full Server with a bumped fencing epoch.
 type Follower struct {
@@ -507,10 +664,19 @@ type Follower struct {
 	shadow seqShadow
 
 	// cm guards the replication cursor — the primary-coordinate
-	// position of the next poll, advanced only after the bytes before
-	// it are fsync'd locally.
+	// position the next ack (or handshake) reports, advanced only after
+	// the bytes before it are fsync'd locally.
 	cm     sync.Mutex
 	cursor replPos
+
+	// connMu guards the open stream, so halt can close it and unblock
+	// the stream's read; halted refuses a stream opened after that.
+	connMu sync.Mutex
+	conn   io.Closer
+	halted bool
+
+	// buf is the message body buffer the stream loop reuses.
+	buf []byte
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -529,7 +695,7 @@ type Follower struct {
 }
 
 // NewFollower opens the follower's state dir (replaying whatever a
-// previous incarnation already replicated) and starts the pull loop.
+// previous incarnation already replicated) and starts the stream loop.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Primary == "" || cfg.StateDir == "" {
@@ -552,26 +718,23 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	// The cursor deliberately starts at zero, not at the local journal
 	// tail: local offsets are this incarnation's coordinates, not the
-	// primary's. The first poll therefore takes a reset transfer — which
+	// primary's. The first message is therefore a reset transfer — which
 	// is also what safely discards a divergent suffix when a fenced
 	// ex-primary rejoins as a follower on its old state dir.
 	go f.run()
 	return f, nil
 }
 
-// run is the pull loop: poll, apply, repeat; back off on errors; stop
-// for good when fenced.
+// run is the stream loop: stream until the stream fails, back off,
+// reopen; stop for good when fenced.
 func (f *Follower) run() {
 	defer close(f.done)
 	for {
+		err := f.stream()
 		select {
 		case <-f.stop:
 			return
 		default:
-		}
-		err := f.pollOnce()
-		if err == nil {
-			continue
 		}
 		f.setErr(err)
 		if errors.Is(err, ErrFenced) {
@@ -596,7 +759,7 @@ func (f *Follower) setErr(err error) {
 }
 
 // Err returns the most recent replication error (nil while healthy); a
-// successful poll clears it.
+// message applied (or a heartbeat heard) since clears it.
 func (f *Follower) Err() error {
 	f.em.Lock()
 	defer f.em.Unlock()
@@ -604,83 +767,136 @@ func (f *Follower) Err() error {
 }
 
 // Fenced reports whether the stream was fenced (the primary is a stale
-// failover survivor) and the pull loop has stopped.
+// failover survivor) and the stream loop has stopped.
 func (f *Follower) Fenced() bool { return f.fenced.Load() }
 
-// pollOnce runs one poll: request from the cursor, then apply whatever
-// came back (chunk, reset transfer, or nothing).
-func (f *Follower) pollOnce() error {
+// stream opens one replication stream from the cursor and applies and
+// acks its messages until it fails; the error says why (never nil).
+func (f *Follower) stream() error {
 	f.cm.Lock()
 	pos := f.cursor
 	f.cm.Unlock()
-	u := fmt.Sprintf("%s/v1/replicate?gen=%d&off=%d&recs=%d&epoch=%d&id=%s&wait_ms=%d",
+	u := fmt.Sprintf("%s/v1/replicate?gen=%d&off=%d&recs=%d&epoch=%d&id=%s",
 		strings.TrimRight(f.cfg.Primary, "/"), pos.gen, pos.off, f.persist.recordsInGen(),
-		f.persist.maxEpoch.Load(), url.QueryEscape(f.cfg.ID), f.cfg.PollWait.Milliseconds())
+		f.persist.maxEpoch.Load(), url.QueryEscape(f.cfg.ID))
 	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err
 	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", replProto)
 	resp, err := f.cfg.Client.Do(req)
 	if err != nil {
-		return fmt.Errorf("serve: replication poll: %w", err)
+		return fmt.Errorf("serve: replication handshake: %w", err)
 	}
-	defer resp.Body.Close()
+	conn, ok := resp.Body.(io.ReadWriteCloser)
+	if resp.StatusCode != http.StatusSwitchingProtocols || !ok {
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusConflict {
+			// The primary saw our epoch and called itself fenced — the
+			// mirror-image of apply's check (we'd only carry a higher epoch
+			// if we had already seen a newer primary).
+			return ErrFenced
+		}
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("serve: replication handshake: primary answered %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+	}
+	if !f.attach(conn) {
+		conn.Close()
+		return errors.New("serve: follower closed")
+	}
+	defer f.detach(conn)
 
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNoContent:
+	// A live primary sends something at least every heartbeat; a read
+	// blocked past the deadline means it fell silent, and closing the
+	// connection unblocks the read.
+	deadline := replDeadline()
+	var silent atomic.Bool
+	watchdog := time.AfterFunc(deadline, func() {
+		silent.Store(true)
+		conn.Close()
+	})
+	defer watchdog.Stop()
+	fail := func(op string, err error) error {
+		if silent.Load() {
+			return fmt.Errorf("serve: replication stream: no message from the primary within %v", deadline)
+		}
+		return fmt.Errorf("serve: replication %s: %w", op, err)
+	}
+	br := bufio.NewReaderSize(conn, 64<<10)
+	var hdr [replMsgHeaderLen]byte
+	var ack [replAckLen]byte
+	for {
+		watchdog.Reset(deadline)
+		m, body, err := readReplMsg(br, &hdr, f.buf)
+		watchdog.Stop()
+		if cap(body) <= maxReplChunk {
+			f.buf = body[:0]
+		}
+		if err != nil {
+			return fail("stream", err)
+		}
+		if err := f.apply(m, body); err != nil {
+			return err
+		}
+		f.cm.Lock()
+		pos = f.cursor
+		f.cm.Unlock()
+		putAck(ack[:], pos, f.persist.recordsInGen(), f.persist.maxEpoch.Load())
+		if _, err := conn.Write(ack[:]); err != nil {
+			return fail("ack", err)
+		}
+	}
+}
+
+// attach publishes the open stream so halt can close it; false means
+// halt already ran and the stream must not start.
+func (f *Follower) attach(c io.Closer) bool {
+	f.connMu.Lock()
+	defer f.connMu.Unlock()
+	if f.halted {
+		return false
+	}
+	f.conn = c
+	return true
+}
+
+func (f *Follower) detach(c io.Closer) {
+	f.connMu.Lock()
+	f.conn = nil
+	f.connMu.Unlock()
+	c.Close()
+}
+
+// apply checks one message's epoch, then applies it. A heartbeat has
+// nothing to apply but proves the primary is alive and current.
+func (f *Follower) apply(m replMsg, body []byte) error {
+	if known := f.persist.maxEpoch.Load(); m.epoch < known {
+		return fmt.Errorf("%w (primary epoch %d, known epoch %d)", ErrFenced, m.epoch, known)
+	}
+	if m.kind == msgHeartbeat {
 		f.setErr(nil)
 		return nil
-	case http.StatusConflict:
-		// The primary saw our epoch and called itself fenced — the
-		// mirror-image of the check below (we'd only carry a higher epoch
-		// if we had already seen a newer primary).
-		return ErrFenced
-	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("serve: replication poll: primary answered %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-
-	repoch, err := strconv.ParseUint(resp.Header.Get(hdrEpoch), 10, 64)
-	if err != nil {
-		return fmt.Errorf("serve: replication response missing %s: %w", hdrEpoch, err)
-	}
-	if known := f.persist.maxEpoch.Load(); repoch < known {
-		return fmt.Errorf("%w (primary epoch %d, known epoch %d)", ErrFenced, repoch, known)
-	}
-	gen, err := strconv.ParseUint(resp.Header.Get(hdrGen), 10, 64)
-	if err != nil {
-		return fmt.Errorf("serve: replication response missing %s: %w", hdrGen, err)
-	}
-	off, err := strconv.ParseInt(resp.Header.Get(hdrOff), 10, 64)
-	if err != nil {
-		return fmt.Errorf("serve: replication response missing %s: %w", hdrOff, err)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxReplBody))
-	if err != nil {
-		return fmt.Errorf("serve: replication body: %w", err)
 	}
 	if err := fpReplApply.Hit(); err != nil {
 		return fmt.Errorf("serve: replication apply: %w", err)
 	}
-
-	next := replPos{gen: gen, off: off}
-	if resp.Header.Get(hdrReset) != "" {
-		return f.applyReset(resp.Header, body, next, repoch)
+	if m.kind == msgReset {
+		return f.applyReset(body[:m.snapLen], body[m.snapLen:], m.next, m.epoch)
 	}
-	return f.applyChunk(body, next, repoch)
+	return f.applyChunk(body, m.next, m.epoch)
 }
 
 // applyChunk validates, persists, then folds one journal chunk. That
-// order is the ack invariant: the cursor (and so the position the next
-// poll acknowledges) only moves after appendRaw's fsync returned.
+// order is the ack invariant: the cursor (and so the position the ack
+// reports) only moves after appendRaw's fsync returned.
 func (f *Follower) applyChunk(body []byte, next replPos, repoch uint64) error {
 	recs, err := parseFrames(body)
 	if err != nil {
 		return err
 	}
 	if err := f.persist.appendRaw(body, len(recs)); err != nil {
-		// appendRaw truncated back; the retry re-requests the same chunk.
+		// appendRaw truncated back; the reopened stream resends the chunk.
 		return err
 	}
 	f.fold(recs, repoch)
@@ -693,12 +909,7 @@ func (f *Follower) applyChunk(body []byte, next replPos, repoch uint64) error {
 
 // applyReset replaces the follower's entire state with a transferred
 // snapshot + journal.
-func (f *Follower) applyReset(h http.Header, body []byte, next replPos, repoch uint64) error {
-	snapLen, err := strconv.Atoi(h.Get(hdrSnapLen))
-	if err != nil || snapLen < 0 || snapLen > len(body) {
-		return fmt.Errorf("serve: reset transfer with bad %s %q (body %d bytes)", hdrSnapLen, h.Get(hdrSnapLen), len(body))
-	}
-	snap, jour := body[:snapLen], body[snapLen:]
+func (f *Follower) applyReset(snap, jour []byte, next replPos, repoch uint64) error {
 	snapRecs, err := parseFrames(snap)
 	if err != nil {
 		return fmt.Errorf("serve: reset transfer snapshot: %w", err)
@@ -772,11 +983,19 @@ func (f *Follower) Sessions() int {
 // Epoch returns the highest fencing epoch this follower has seen.
 func (f *Follower) Epoch() uint64 { return f.persist.maxEpoch.Load() }
 
-// halt stops the pull loop and closes the state dir. Idempotent.
+// halt stops the stream loop — closing the open stream so a blocked
+// read returns — and closes the state dir. Idempotent.
 func (f *Follower) halt() {
 	f.once.Do(func() {
+		f.connMu.Lock()
+		f.halted = true
+		c := f.conn
+		f.connMu.Unlock()
 		close(f.stop)
 		f.cancel()
+		if c != nil {
+			c.Close()
+		}
 	})
 	<-f.done
 	f.persist.close()
@@ -786,7 +1005,7 @@ func (f *Follower) halt() {
 // ready for a later NewFollower or promotion via New.
 func (f *Follower) Close() { f.halt() }
 
-// Promote turns the standby into the primary: the pull loop stops, the
+// Promote turns the standby into the primary: the stream loop stops, the
 // state dir closes, and a full Server boots from it with Config.Promote
 // set — replaying everything replicated, bumping the fencing epoch past
 // every epoch in the stream, and durably stamping the bump before
@@ -809,7 +1028,9 @@ type FollowerMetrics struct {
 	Epoch  uint64 `json:"epoch"`
 	Fenced bool   `json:"fenced"`
 	// RecordsApplied counts records made durable locally (chunks and
-	// reset transfers both); Resets counts full snapshot transfers.
+	// reset transfers both); Resets counts full snapshot transfers;
+	// PollErrors counts streams that failed (each one is reopened after
+	// RetryInterval).
 	RecordsApplied uint64 `json:"records_applied"`
 	ChunksApplied  uint64 `json:"chunks_applied"`
 	Resets         uint64 `json:"resets"`

@@ -783,13 +783,13 @@ func (s *Server) Close() {
 	}
 }
 
-// QuiesceReplication wakes parked replication long-polls and pending
-// sync-ack waits without stopping the server: parked GET /v1/replicate
-// polls answer 204 and sync-mode writes stop waiting for follower acks
-// (their records are already locally durable). cmd/dmcd calls it as the
-// first step of graceful shutdown, before draining its http.Server —
-// otherwise a standby parked in a long poll stalls the HTTP drain for
-// the poll's full wait.
+// QuiesceReplication closes every replication stream and releases
+// pending sync-ack waits without stopping the server: followers see
+// their stream end (new handshakes answer 503), and sync-mode writes
+// stop waiting for follower acks (their records are already locally
+// durable). cmd/dmcd calls it as the first step of graceful shutdown,
+// before draining its http.Server, so no write is left waiting on a
+// follower that is about to lose its primary.
 func (s *Server) QuiesceReplication() {
 	if s.repl != nil {
 		s.repl.shutdown()
