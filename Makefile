@@ -7,7 +7,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: all build vet lint fmt-check test chaos-smoke chaos-restart chaos-failover fuzz-smoke bench-smoke perf-smoke bench run-dmcd ci
+.PHONY: all build vet lint fmt-check test chaos-smoke chaos-restart chaos-failover fuzz-smoke bench-smoke perf-smoke bench bench-compare run-dmcd ci
 
 all: build vet lint fmt-check test
 

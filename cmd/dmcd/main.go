@@ -21,7 +21,8 @@
 //	GET    /v1/replicate    follower journal stream: upgrades to one
 //	                        full-duplex dmc-repl/1 connection per
 //	                        follower (persistence only)
-//	POST   /v1/promote      follower-only: promote this standby to primary
+//	POST   /v1/promote      promote this standby to primary in place
+//	                        (on a primary: answers its epoch, no change)
 //	GET    /metrics
 //	GET    /healthz
 //
@@ -43,15 +44,19 @@
 // with -state-dir streams its journal to hot standbys started with
 // -follow <primary-url>, each over one long-lived upgraded connection
 // that carries journal chunks one way and durable acks the other. A
-// standby names itself to the primary by hostname and listen address,
-// so several standbys on one host keep separate lag entries.
-// -repl-ack sync withholds 2xx until a follower
-// has durably applied the record ("acknowledged means replicated");
-// the default async mode acknowledges on local fsync. A standby is
-// promoted by POST /v1/promote (in place, same process) or by
-// restarting it with -promote; either way the new primary's epoch
-// fences the old one, whose stale incarnation is refused on rejoin and
-// resyncs as a follower via a snapshot reset transfer.
+// standby is the same server in the follower role: it answers solves
+// for replicated sessions degraded, refuses writes with 503, and
+// reports "role": "follower" on /healthz and /metrics. It names itself
+// to the primary by hostname and absolute state dir, so several
+// standbys on one host keep separate lag entries. -repl-ack sync
+// withholds 2xx until a follower has durably applied the record
+// ("acknowledged means replicated"); the default async mode
+// acknowledges on local fsync. A standby is promoted by POST
+// /v1/promote (in place: same process, same listener, answering the
+// new epoch) or by restarting it with -promote; either way the new
+// primary's epoch fences the old one, whose stale incarnation is
+// refused on rejoin and resyncs as a follower via a snapshot reset
+// transfer.
 //
 // Failure containment (see the README's "Failure modes & degradation"):
 // "budget_ms" per request bounds queue wait (504 when it expires,
@@ -73,8 +78,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -89,17 +92,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dmcd:", err)
 		os.Exit(1)
 	}
-}
-
-// handlerSwitch is an http.Handler whose target swaps atomically — how
-// an in-place promotion replaces the follower's read-only API with the
-// full primary API without rebinding the listener.
-type handlerSwitch struct{ h atomic.Value }
-
-func (hs *handlerSwitch) set(h http.Handler) { hs.h.Store(h) }
-
-func (hs *handlerSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	hs.h.Load().(http.Handler).ServeHTTP(w, r)
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
@@ -152,110 +144,37 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ReplAckTimeout:   *replAckTo,
 		ReplLagWarn:      *replLagWarn,
 		Promote:          *promote,
+		Follow:           *follow,
 	}
 
-	if *follow != "" {
-		if *stateDir == "" {
-			return errors.New("-follow requires -state-dir (the follower journals the replicated stream)")
-		}
-		if *promote {
-			return errors.New("-follow and -promote are mutually exclusive: -promote boots a former follower's state dir as the new primary")
-		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			return err
-		}
-		return runFollower(ctx, cfg, *follow, ln, stdout)
+	if *follow != "" && *stateDir == "" {
+		return errors.New("-follow requires -state-dir (the follower journals the replicated stream)")
+	}
+	if *follow != "" && *promote {
+		return errors.New("-follow and -promote are mutually exclusive: -promote boots a former follower's state dir as the new primary")
 	}
 
 	srv, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
 	if *stateDir != "" {
-		fmt.Fprintf(stdout, "dmcd: durability on (%s): restored %d sessions\n", *stateDir, srv.Metrics().Durability.RestoredSessions)
-		fmt.Fprintf(stdout, "dmcd: replication %s (epoch %d)\n", srv.Metrics().Replication.Mode, srv.Epoch())
-	}
-	if *promote {
-		fmt.Fprintf(stdout, "dmcd: PROMOTED to primary at epoch %d; the old primary is fenced\n", srv.Epoch())
+		fmt.Fprintf(stdout, "dmcd: durability on (%s): restored %d sessions\n", *stateDir, srv.Restored())
+		fmt.Fprintf(stdout, "dmcd: %s at epoch %d\n", srv.Role(), srv.Epoch())
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
+		srv.Close()
 		return err
 	}
-	return serveHTTP(ctx, ln, srv.Handler(), stdout, srv.QuiesceReplication, nil)
-}
-
-// runFollower runs the hot-standby loop: replicate from the primary,
-// serve the degraded read-only API, and promote in place when asked.
-func runFollower(ctx context.Context, cfg serve.Config, primary string, ln net.Listener, stdout io.Writer) error {
-	sw := &handlerSwitch{}
-	var (
-		pmu      sync.Mutex
-		promoted *serve.Server
-		fol      *serve.Follower
-	)
-	// The primary keys its follower table by this ID; the hostname alone
-	// would merge every standby on one host into one entry.
-	host, _ := os.Hostname()
-	id := host + "/" + ln.Addr().String()
-	f, err := serve.NewFollower(serve.FollowerConfig{
-		Primary:  primary,
-		StateDir: cfg.StateDir,
-		ID:       id,
-		OnPromote: func() error {
-			pmu.Lock()
-			defer pmu.Unlock()
-			if promoted != nil {
-				return nil // already promoted; the retry is idempotent
-			}
-			srv, err := fol.Promote(cfg)
-			if err != nil {
-				return err
-			}
-			promoted = srv
-			sw.set(srv.Handler())
-			fmt.Fprintf(stdout, "dmcd: PROMOTED to primary at epoch %d; the old primary is fenced\n", srv.Epoch())
-			return nil
-		},
-	})
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	fol = f
-	sw.set(fol.Handler())
-	fmt.Fprintf(stdout, "dmcd: following %s (replicated %d sessions so far)\n", primary, fol.Sessions())
-
-	return serveHTTP(ctx, ln, sw, stdout,
-		func() {
-			// If promotion happened, this process is now a primary that
-			// may hold follower streams and sync writes waiting on their
-			// acks; close and release them before the HTTP drain.
-			pmu.Lock()
-			defer pmu.Unlock()
-			if promoted != nil {
-				promoted.QuiesceReplication()
-			}
-		},
-		func() {
-			// Shut down whichever role the process holds by now. Promotion
-			// holds pmu across the swap, so this cannot observe a half-state.
-			pmu.Lock()
-			defer pmu.Unlock()
-			if promoted != nil {
-				promoted.Close()
-			} else {
-				fol.Close()
-			}
-		})
+	return serveHTTP(ctx, ln, srv.Handler(), stdout, srv.QuiesceReplication, srv.Close)
 }
 
 // serveHTTP serves handler on ln until ctx is canceled, then shuts
 // down gracefully: run quiesce (closing replication streams and
-// releasing sync-ack waits), stop accepting, drain in-flight HTTP, then
-// run closeFn (which drains the solver/replication side).
+// releasing sync-ack waits), stop accepting, and drain in-flight HTTP.
+// closeFn (which drains the solver/replication side) runs last, on
+// every return.
 //
 // The timeouts harden the listener against slow clients (slowloris
 // headers, stalled bodies, dead keep-alives). A replication stream
@@ -264,6 +183,7 @@ func runFollower(ctx context.Context, cfg serve.Config, primary string, ln net.L
 // heartbeat deadline, rather than this server going unbounded for
 // everyone.
 func serveHTTP(ctx context.Context, ln net.Listener, handler http.Handler, stdout io.Writer, quiesce, closeFn func()) error {
+	defer closeFn()
 	fmt.Fprintf(stdout, "dmcd: listening on %s\n", ln.Addr())
 
 	hs := &http.Server{
@@ -285,9 +205,7 @@ func serveHTTP(ctx context.Context, ln net.Listener, handler http.Handler, stdou
 	// Stop accepting, let in-flight HTTP requests finish, then drain the
 	// solver waves.
 	fmt.Fprintln(stdout, "dmcd: shutting down")
-	if quiesce != nil {
-		quiesce()
-	}
+	quiesce()
 	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil {
@@ -295,9 +213,6 @@ func serveHTTP(ctx context.Context, ln net.Listener, handler http.Handler, stdou
 	}
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
-	}
-	if closeFn != nil {
-		closeFn()
 	}
 	return nil
 }

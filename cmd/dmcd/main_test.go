@@ -199,8 +199,8 @@ func TestRunFlagErrors(t *testing.T) {
 
 // TestRunFailover is the operator-facing failover drill: a primary and
 // a -follow standby as two in-process daemons, a session replicated
-// across, promotion via the admin endpoint swapping the standby to the
-// full primary API in place, and the promoted daemon owning writes.
+// across, promotion via the admin endpoint turning the standby into the
+// primary in place, and the promoted daemon owning writes.
 func TestRunFailover(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
 
@@ -229,7 +229,7 @@ func TestRunFailover(t *testing.T) {
 	defer fcancel()
 	var fout syncBuffer
 	fbase, fdone := bootDaemon(t, fctx, &fout, "-state-dir", folDir, "-follow", pbase)
-	if !strings.Contains(fout.String(), "dmcd: following "+pbase) {
+	if !strings.Contains(fout.String(), "dmcd: follower at epoch 0") {
 		t.Errorf("missing follower boot line; output: %q", fout.String())
 	}
 
@@ -272,16 +272,22 @@ func TestRunFailover(t *testing.T) {
 	if err := <-pdone; err != nil {
 		t.Fatalf("primary run failed on shutdown: %v", err)
 	}
-	resp, err = http.Post(fbase+"/v1/promote", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
+	// The answer carries the new epoch, one past the primary's 0, and
+	// /healthz on the same listener reports the new role.
+	var promoted struct {
+		Epoch uint64 `json:"epoch"`
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/promote status %d", resp.StatusCode)
+	requestJSON(t, http.MethodPost, fbase+"/v1/promote", &promoted)
+	if promoted.Epoch != 1 {
+		t.Errorf("/v1/promote answered epoch %d, want 1", promoted.Epoch)
 	}
-	if !strings.Contains(fout.String(), "dmcd: PROMOTED to primary at epoch") {
-		t.Errorf("missing promotion log line; output: %q", fout.String())
+	var health struct {
+		Role  string `json:"role"`
+		Epoch uint64 `json:"epoch"`
+	}
+	requestJSON(t, http.MethodGet, fbase+"/healthz", &health)
+	if health.Role != "primary" || health.Epoch != 1 {
+		t.Errorf("/healthz after promotion: role %q epoch %d, want primary at 1", health.Role, health.Epoch)
 	}
 
 	// Writes now land on the promoted daemon.
@@ -300,6 +306,27 @@ func TestRunFailover(t *testing.T) {
 	fcancel()
 	if err := <-fdone; err != nil {
 		t.Fatalf("promoted run failed on shutdown: %v", err)
+	}
+}
+
+// requestJSON sends a bodiless request, requires a 200 and decodes the
+// JSON answer into v.
+func requestJSON(t *testing.T, method, url string, v any) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d", method, url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -322,7 +349,7 @@ func primaryFollowers(t *testing.T, base string) []serve.ReplFollowerMetrics {
 }
 
 // TestRunTwoFollowersOneHost: two -follow standbys on one host share a
-// hostname but not a listen address, so the primary keeps one follower
+// hostname but not a state dir, so the primary keeps one follower
 // entry for each. When one stops, its lag grows while the live one's
 // stays at zero — neither overwrites the other.
 func TestRunTwoFollowersOneHost(t *testing.T) {
@@ -411,7 +438,7 @@ func TestRunPromoteFlag(t *testing.T) {
 	defer cancel2()
 	var out2 syncBuffer
 	_, done2 := bootDaemon(t, ctx2, &out2, "-state-dir", dir, "-promote")
-	if !strings.Contains(out2.String(), "dmcd: PROMOTED to primary at epoch 1") {
+	if !strings.Contains(out2.String(), "dmcd: primary at epoch 1") {
 		t.Errorf("missing promotion boot line; output: %q", out2.String())
 	}
 	cancel2()

@@ -60,7 +60,7 @@ func BenchmarkReplicationAck(b *testing.B) {
 		b.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	fol, err := NewFollower(FollowerConfig{Primary: ts.URL, StateDir: b.TempDir(), ID: "bench", RetryInterval: 5 * time.Millisecond})
+	fol, err := New(Config{Shards: 1, StateDir: b.TempDir(), Follow: ts.URL})
 	if err != nil {
 		b.Fatal(err)
 	}

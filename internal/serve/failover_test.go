@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
@@ -56,47 +57,64 @@ func failoverStorm(seed uint64) *fault.Plan {
 	}
 }
 
-// newTestFollower attaches a follower to a primary's test server with
-// timings tuned for tests (fast retries).
-func newTestFollower(t *testing.T, primaryURL, dir string) *Follower {
+// newTestFollower boots a server in the follower role of a primary's
+// test server; cfg applies once it is promoted. TestMain shortens its
+// stream retry.
+func newTestFollower(t *testing.T, cfg Config, primaryURL, dir string) *Server {
 	t.Helper()
-	f, err := NewFollower(FollowerConfig{
-		Primary:       primaryURL,
-		StateDir:      dir,
-		ID:            filepath.Base(dir),
-		RetryInterval: 5 * time.Millisecond,
-	})
+	cfg.StateDir, cfg.Follow = dir, primaryURL
+	f, err := New(cfg)
 	if err != nil {
-		t.Fatalf("NewFollower: %v", err)
+		t.Fatalf("New (follower): %v", err)
 	}
 	return f
 }
 
 // waitSynced blocks until the follower's cursor reaches the primary's
 // journal tail (it has durably applied everything the primary holds).
-func waitSynced(t *testing.T, srv *Server, f *Follower) {
+func waitSynced(t *testing.T, srv, f *Server) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		cur := srv.persist.cursor()
-		f.cm.Lock()
-		got := f.cursor
-		f.cm.Unlock()
+		f.fol.cm.Lock()
+		got := f.fol.cursor
+		f.fol.cm.Unlock()
 		if got.atOrPast(cur) {
 			return
 		}
-		if err := f.Err(); err != nil && f.Fenced() {
-			t.Fatalf("follower fenced while syncing: %v", err)
+		if f.fol.fenced.Load() {
+			t.Fatalf("follower fenced while syncing: %v", f.fol.err())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("follower never caught up to the primary (follower err: %v)", f.Err())
+	t.Fatalf("follower never caught up to the primary (follower err: %v)", f.fol.err())
+}
+
+// promoteHTTP promotes a follower through its POST /v1/promote and
+// returns the epoch the answer carries.
+func promoteHTTP(t *testing.T, base string) uint64 {
+	t.Helper()
+	status, body := postJSON(t, base+"/v1/promote", nil)
+	if status != http.StatusOK {
+		t.Fatalf("/v1/promote status %d: %s", status, body)
+	}
+	var pr struct {
+		Role  string `json:"role"`
+		Epoch uint64 `json:"epoch"`
+	}
+	mustUnmarshal(t, body, &pr)
+	if pr.Role != "primary" {
+		t.Fatalf("/v1/promote answered role %q: %s", pr.Role, body)
+	}
+	return pr.Epoch
 }
 
 // TestFailoverFleet is the replication tentpole: a primary in sync-ack
 // mode streams to a hot standby while estimator and plain sessions run
 // under load; the primary is hard-killed mid-fault-storm, the standby
-// is promoted, and the promoted server must
+// is promoted in place through its own handler's POST /v1/promote, and
+// the promoted server must
 //
 //   - hold every estimator session's counters EXACTLY equal to an
 //     uninterrupted reference adaptor fed the acknowledged
@@ -154,8 +172,8 @@ func TestFailoverFleet(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	fol := newTestFollower(t, ts.URL, dirB)
-	folDir := dirB
+	fol := newTestFollower(t, cfg, ts.URL, dirB)
+	folTS := httptest.NewServer(fol.Handler())
 
 	for _, e := range ests {
 		solveOK(t, ts.URL, scenario.SolveRequest{
@@ -246,20 +264,16 @@ func TestFailoverFleet(t *testing.T) {
 		ts.Close()
 		fault.Deactivate()
 		staleEpoch := srv.Epoch()
-		staleDir := primaryCfg.StateDir
+		staleDir := srv.cfg.StateDir
 
-		// Promote the standby. The new primary replays everything the
-		// follower durably applied and stamps epoch+1 into a snapshot
-		// before serving.
-		promoteCfg := cfg
-		newSrv, err := fol.Promote(promoteCfg)
-		if err != nil {
-			t.Fatalf("cycle %d promote: %v", cycle, err)
+		// Promote the standby in place. The new primary replays
+		// everything the follower durably applied and stamps epoch+1 into
+		// a snapshot before serving, on the handler that served it as a
+		// follower.
+		newSrv, newTS := fol, folTS
+		if epoch := promoteHTTP(t, newTS.URL); epoch <= staleEpoch || epoch != newSrv.Epoch() {
+			t.Fatalf("cycle %d: promoted epoch %d (server says %d) did not pass the stale primary's %d", cycle, epoch, newSrv.Epoch(), staleEpoch)
 		}
-		if newSrv.Epoch() <= staleEpoch {
-			t.Fatalf("cycle %d: promoted epoch %d did not pass the stale primary's %d", cycle, newSrv.Epoch(), staleEpoch)
-		}
-		newTS := httptest.NewServer(newSrv.Handler())
 
 		// The dead node comes back with its old state dir — including
 		// any unacknowledged records it journaled after the last
@@ -288,9 +302,10 @@ func TestFailoverFleet(t *testing.T) {
 		// Rejoin the stale node as a follower of the new primary: its
 		// first poll takes a reset transfer that discards the divergent
 		// suffix and replaces it with the new primary's history.
-		fol = newTestFollower(t, newTS.URL, staleDir)
+		fol = newTestFollower(t, cfg, newTS.URL, staleDir)
+		folTS = httptest.NewServer(fol.Handler())
 		waitSynced(t, newSrv, fol)
-		if fol.Metrics().Resets == 0 {
+		if fol.Metrics().Follow.Resets == 0 {
 			t.Errorf("cycle %d: rejoined stale primary took no reset transfer", cycle)
 		}
 
@@ -346,9 +361,9 @@ func TestFailoverFleet(t *testing.T) {
 		// reset transfer replaced the divergent suffix with exactly the
 		// promoted primary's history.
 		for _, e := range ests {
-			fol.smu.RLock()
-			st := fol.state[e.id]
-			fol.smu.RUnlock()
+			fol.fol.smu.RLock()
+			st := fol.fol.state[e.id]
+			fol.fol.smu.RUnlock()
 			if st == nil {
 				t.Fatalf("cycle %d: rejoined follower missing session %s", cycle, e.id)
 			}
@@ -367,11 +382,10 @@ func TestFailoverFleet(t *testing.T) {
 
 		// Roles swap for the next cycle.
 		srv, ts = newSrv, newTS
-		primaryCfg.StateDir, folDir = folDir, staleDir
-		_ = folDir
 	}
 
 	fol.Close()
+	folTS.Close()
 	ts.Close()
 	srv.Close()
 }
@@ -476,31 +490,30 @@ func TestFollowerFencesStalePrimary(t *testing.T) {
 	solveOK(t, tsA.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "s"})
 
 	dirF := t.TempDir()
-	fol := newTestFollower(t, tsA.URL, dirF)
+	fol := newTestFollower(t, Config{Shards: 1}, tsA.URL, dirF)
 	waitSynced(t, srvA, fol)
 
 	// Promotion bumps the epoch and stamps it into the follower's state
 	// dir; the old primary keeps running, stale.
-	srvB, err := fol.Promote(Config{Shards: 1})
-	if err != nil {
+	if err := fol.Promote(); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	if srvB.Epoch() != srvA.Epoch()+1 {
-		t.Fatalf("promoted epoch %d, want %d", srvB.Epoch(), srvA.Epoch()+1)
+	if fol.Epoch() != srvA.Epoch()+1 {
+		t.Fatalf("promoted epoch %d, want %d", fol.Epoch(), srvA.Epoch()+1)
 	}
-	srvB.crash()
+	fol.crash()
 
 	// A follower booted from the promoted state dir knows the new
 	// epoch. Pointed at the stale primary, it must fence — the stale
 	// primary 409s its poll — and stop, journaling nothing.
 	preBytes := journalSize(t, dirF)
-	fol2 := newTestFollower(t, tsA.URL, dirF)
+	fol2 := newTestFollower(t, Config{Shards: 1}, tsA.URL, dirF)
 	deadline := time.Now().Add(10 * time.Second)
-	for !fol2.Fenced() && time.Now().Before(deadline) {
+	for !fol2.fol.fenced.Load() && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if !fol2.Fenced() {
-		t.Fatalf("follower did not fence the stale primary (err: %v)", fol2.Err())
+	if !fol2.fol.fenced.Load() {
+		t.Fatalf("follower did not fence the stale primary (err: %v)", fol2.fol.err())
 	}
 	if got := journalSize(t, dirF); got != preBytes {
 		t.Errorf("fenced follower's journal changed: %d -> %d bytes", preBytes, got)
@@ -548,7 +561,7 @@ func TestFollowerServesDegraded(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	want := solveOK(t, ts.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "s"})
 
-	fol := newTestFollower(t, ts.URL, t.TempDir())
+	fol := newTestFollower(t, Config{Shards: 1}, ts.URL, t.TempDir())
 	waitSynced(t, srv, fol)
 	fts := httptest.NewServer(fol.Handler())
 
@@ -695,7 +708,7 @@ func TestHealthzDegradesOnDurabilityTrouble(t *testing.T) {
 
 	// A connected follower that stops polling: its lag grows past the
 	// threshold as new writes land.
-	fol := newTestFollower(t, ts.URL, t.TempDir())
+	fol := newTestFollower(t, Config{Shards: 1}, ts.URL, t.TempDir())
 	waitSynced(t, srv, fol)
 	fol.Close()
 	for i := 0; i < 6; i++ {
@@ -723,5 +736,184 @@ func TestHealthzDegradesOnDurabilityTrouble(t *testing.T) {
 	status, body = getJSON(t, ts.URL+"/healthz")
 	if status != http.StatusOK || !strings.Contains(string(body), "journal errors") {
 		t.Errorf("/healthz should report journal errors: %d %s", status, body)
+	}
+}
+
+// estFleet starts a primary on a fresh state dir holding one plain and
+// two estimator sessions, the estimators fed observations so their
+// counters are nonzero.
+func estFleet(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	cfg.StateDir = t.TempDir()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	rng := rand.New(rand.NewPCG(23, 5))
+	solveOK(t, ts.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: testNetwork(rng, 2)}, SessionID: "plain"})
+	for _, id := range []string{"est-a", "est-b"} {
+		wire := testNetwork(rng, 3)
+		solveOK(t, ts.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: id, Estimator: true})
+		status, body := postJSON(t, ts.URL+"/v1/observe", scenario.ObserveRequest{SessionID: id, Paths: randomObs(rng, len(wire.Paths))})
+		if status != http.StatusOK {
+			t.Fatalf("observe %s: status %d: %s", id, status, body)
+		}
+	}
+	return srv, ts
+}
+
+// primaryStates captures the durable state of every session on a
+// primary, as a replica must hold it.
+func primaryStates(srv *Server) map[string]*scenario.SessionState {
+	out := make(map[string]*scenario.SessionState)
+	srv.smu.RLock()
+	defer srv.smu.RUnlock()
+	for id, se := range srv.sessions {
+		se.mu.Lock()
+		out[id] = srv.captureLocked(se).Session
+		se.mu.Unlock()
+	}
+	return out
+}
+
+// TestFollowerCloseKeepsReplicatedState: closing a follower must leave
+// its replicated state dir as the stream left it. A follower's session
+// registry is empty, so a closing snapshot taken as a primary would
+// replace the replicated journal with nothing. Reopened as a follower
+// (of a primary that is gone) and booted as a promoted primary, the dir
+// must hold every session with its last good result and estimates.
+func TestFollowerCloseKeepsReplicatedState(t *testing.T) {
+	srv, ts := estFleet(t, Config{Shards: 1})
+	want := primaryStates(srv)
+	dir := t.TempDir()
+	fol := newTestFollower(t, Config{Shards: 1}, ts.URL, dir)
+	waitSynced(t, srv, fol)
+	fol.Close()
+	ts.Close()
+	srv.Close()
+
+	same := func(what string, got *scenario.SessionState, id string) {
+		t.Helper()
+		if got == nil {
+			t.Fatalf("%s: session %s missing", what, id)
+		}
+		if !reflect.DeepEqual(got.LastGood, want[id].LastGood) || !reflect.DeepEqual(got.Estimates, want[id].Estimates) {
+			t.Errorf("%s: session %s differs from the primary\n got %+v\nwant %+v", what, id, got, want[id])
+		}
+	}
+	again := newTestFollower(t, Config{Shards: 1}, ts.URL, dir)
+	if n := again.Sessions(); n != len(want) {
+		t.Errorf("reopened follower holds %d sessions, want %d", n, len(want))
+	}
+	for id := range want {
+		same("reopened follower", again.fol.lastState(id), id)
+	}
+	again.Close()
+
+	promoted, err := New(Config{Shards: 1, StateDir: dir, Promote: true})
+	if err != nil {
+		t.Fatalf("promote from the closed follower's dir: %v", err)
+	}
+	defer promoted.Close()
+	got := primaryStates(promoted)
+	if len(got) != len(want) {
+		t.Errorf("promoted primary holds %d sessions, want %d", len(got), len(want))
+	}
+	for id := range want {
+		same("promoted primary", got[id], id)
+	}
+}
+
+// TestPromoteInPlace: a follower's own handler serves the primary API
+// after POST /v1/promote — writes land, the epoch is the highest
+// replicated one plus 1, a repeated promote answers the same epoch and
+// changes nothing, and /v1/replicate, refused while following, now
+// serves a new follower.
+func TestPromoteInPlace(t *testing.T) {
+	// The primary is itself a promoted node, so the replicated epoch is
+	// nonzero.
+	srv, err := New(Config{Shards: 1, StateDir: t.TempDir(), Promote: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	rng := rand.New(rand.NewPCG(29, 1))
+	wire := testNetwork(rng, 2)
+	solveOK(t, ts.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: wire}, SessionID: "s"})
+
+	fol := newTestFollower(t, Config{Shards: 1}, ts.URL, t.TempDir())
+	fts := httptest.NewServer(fol.Handler())
+	waitSynced(t, srv, fol)
+	if m := fol.Metrics(); m.Role != "follower" || m.Follow == nil || m.Follow.Epoch != 1 || m.Sessions != 1 {
+		t.Fatalf("follower metrics: role %q, follow %+v, sessions %d", m.Role, m.Follow, m.Sessions)
+	}
+	resp, err := http.Get(fts.URL + "/v1/replicate?gen=0&off=0&epoch=0&id=early")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := readAllBody(resp)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("follower /v1/replicate: status %d (want 503): %s", resp.StatusCode, body)
+	}
+	ts.Close()
+	srv.Close()
+
+	epoch := promoteHTTP(t, fts.URL)
+	if epoch != 2 || fol.Epoch() != 2 {
+		t.Fatalf("promoted epoch %d (server says %d), want the replicated 1 plus 1", epoch, fol.Epoch())
+	}
+	snaps := fol.Metrics().Durability.Snapshots
+	if again := promoteHTTP(t, fts.URL); again != epoch || fol.Metrics().Durability.Snapshots != snaps {
+		t.Errorf("repeated promote: epoch %d -> %d, snapshots %d -> %d", epoch, again, snaps, fol.Metrics().Durability.Snapshots)
+	}
+	if resp := solveOK(t, fts.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: driftWire(rng, wire, 0.05)}, SessionID: "s"}); resp.Degraded || !resp.Resolved {
+		t.Errorf("solve after promotion answered degraded %v, resolved %v", resp.Degraded, resp.Resolved)
+	}
+	if status, body := getJSON(t, fts.URL+"/healthz"); status != http.StatusOK || !strings.Contains(string(body), `"role":"primary"`) {
+		t.Errorf("/healthz after promotion: %d %s", status, body)
+	}
+
+	fol2 := newTestFollower(t, Config{Shards: 1}, fts.URL, t.TempDir())
+	waitSynced(t, fol, fol2)
+	if fol2.Sessions() != 1 || fol2.Epoch() != epoch {
+		t.Errorf("new follower of the promoted node: %d sessions at epoch %d", fol2.Sessions(), fol2.Epoch())
+	}
+	fol2.Close()
+	fts.Close()
+	fol.Close()
+}
+
+// TestPromoteRacesClose: Promote and Close on one follower serialize —
+// whichever wins, the race detector sees no unsynchronized access and
+// the state dir reboots with the replicated session.
+func TestPromoteRacesClose(t *testing.T) {
+	srv, ts := estFleet(t, Config{Shards: 1})
+	dir := t.TempDir()
+	fol := newTestFollower(t, Config{Shards: 1}, ts.URL, dir)
+	waitSynced(t, srv, fol)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := fol.Promote(); err != nil && !errors.Is(err, errClosed) {
+			t.Errorf("promote: %v", err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		fol.Close()
+		_ = fol.Metrics()
+	}()
+	wg.Wait()
+	ts.Close()
+	srv.Close()
+	again, err := New(Config{Shards: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if n := again.Sessions(); n != 3 {
+		t.Errorf("state dir after Promote racing Close holds %d sessions, want 3", n)
 	}
 }

@@ -17,25 +17,41 @@ import (
 // even at fleet scale.
 const maxBodyBytes = 1 << 20
 
-// Handler returns the daemon's HTTP API:
+// Handler returns the daemon's HTTP API, for either role:
 //
-//	POST   /v1/solve        solve (one-shot, session-keyed, or estimator)
+//	POST   /v1/solve        solve (one-shot, session-keyed, or estimator);
+//	                        a follower answers known sessions degraded
 //	POST   /v1/observe      feed estimator measurements, re-solve on drift
 //	DELETE /v1/session/{id} drop a session
+//	POST   /v1/promote      make a follower the primary (a primary: no-op)
 //	GET    /v1/replicate    follower journal stream (persistence only)
-//	GET    /metrics         per-shard metrics snapshot
-//	GET    /healthz         liveness
+//	GET    /metrics         metrics snapshot
+//	GET    /healthz         liveness and role
+//
+// A follower answers the writes (observe, drop) and /v1/replicate with
+// 503 until it is promoted.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	mux.HandleFunc("POST /v1/observe", s.handleObserve)
 	mux.HandleFunc("DELETE /v1/session/{id}", s.handleDrop)
+	mux.HandleFunc("POST /v1/promote", s.handlePromote)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	if s.persist != nil {
+	if s.cfg.StateDir != "" {
 		mux.HandleFunc("GET /v1/replicate", s.handleReplicate)
 	}
 	return mux
+}
+
+// refuseWrite answers 503 to a write while this server is a follower: a
+// standby accepting writes would fork the fleet's state.
+func (s *Server) refuseWrite(w http.ResponseWriter) bool {
+	if s.primary.Load() {
+		return false
+	}
+	writeErr(w, http.StatusServiceUnavailable, "serve: read-only follower; write to the primary")
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -154,6 +170,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if !s.primary.Load() {
+		s.solveFollowing(w, &req)
+		return
+	}
 	obj, _ := req.ObjectiveKind()
 	if req.Estimator {
 		if req.SessionID == "" {
@@ -221,9 +241,28 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// solveFollowing is a follower's solve: a known session's replicated
+// last good strategy, marked degraded. A follower runs no solves —
+// anything it cannot answer from replicated state is the primary's job.
+func (s *Server) solveFollowing(w http.ResponseWriter, req *scenario.SolveRequest) {
+	if req.SessionID == "" {
+		writeErr(w, http.StatusServiceUnavailable, "serve: read-only follower cannot run one-shot solves; write to the primary")
+		return
+	}
+	st := s.fol.lastState(req.SessionID)
+	if st == nil || st.LastGood == nil {
+		writeErr(w, http.StatusServiceUnavailable, "serve: follower has no replicated answer for session %q", req.SessionID)
+		return
+	}
+	writeJSON(w, http.StatusOK, scenario.SolveResponse{SessionID: req.SessionID, Result: st.LastGood, Degraded: true})
+}
+
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if s.closed.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "serve: shutting down")
+		return
+	}
+	if s.refuseWrite(w) {
 		return
 	}
 	var req scenario.ObserveRequest
@@ -290,6 +329,9 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	// Durability before acknowledgement, same as solves: a drop whose
 	// journal append failed answers 500 (the breaker fault is counted in
 	// DropSession), and the client retries until the 204 means it.
+	if s.refuseWrite(w) {
+		return
+	}
 	if err := s.DropSession(r.PathValue("id")); err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -301,39 +343,60 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
+// handlePromote is the failover admin endpoint: it promotes a follower
+// in place and answers the primary's epoch; on a primary it changes
+// nothing and answers the same.
+func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
+	switch err := s.Promote(); {
+	case errors.Is(err, errClosed):
+		writeErr(w, http.StatusServiceUnavailable, "serve: shutting down")
+		return
+	case err != nil:
+		writeErr(w, http.StatusInternalServerError, "serve: promotion failed: %v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"status": "promoted", "role": s.Role(), "epoch": s.Epoch()})
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.closed.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "serve: shutting down")
 		return
 	}
-	// A single open breaker degrades one shard; every breaker open means
-	// no request can be served at all — that is a liveness failure.
-	breakers := make([]string, len(s.shards))
-	allOpen := len(s.shards) > 0
-	for i, sh := range s.shards {
-		st := sh.brk.snapshot()
-		breakers[i] = st.String()
-		if st != breakerOpen {
-			allOpen = false
-		}
-	}
-	body := map[string]any{"status": "ok", "breakers": breakers}
-	if allOpen {
-		body["status"] = "unhealthy: every shard breaker open"
-		writeJSON(w, http.StatusServiceUnavailable, body)
-		return
-	}
-	// Durability trouble degrades (200, but the status says so — load
-	// balancers keep routing, operators get paged): failed journal
-	// appends mean writes are being refused, and replication lag past
-	// the threshold means a failover now would lose that much
-	// acknowledged state in async mode.
+	primary := s.primary.Load()
+	body := map[string]any{"status": "ok", "role": roleName(primary), "epoch": s.Epoch(), "sessions": s.Sessions()}
 	var trouble []string
-	if p := s.persist; p != nil {
-		if n := p.journalErrors.Load(); n > 0 {
-			trouble = append(trouble, fmt.Sprintf("%d journal errors", n))
+	if !primary {
+		trouble = s.fol.trouble()
+	} else {
+		// A single open breaker degrades one shard; every breaker open
+		// means no request can be served at all — a liveness failure.
+		breakers := make([]string, len(s.shards))
+		allOpen := len(s.shards) > 0
+		for i, sh := range s.shards {
+			st := sh.brk.snapshot()
+			breakers[i] = st.String()
+			if st != breakerOpen {
+				allOpen = false
+			}
 		}
-		trouble = append(trouble, s.repl.replHealth()...)
+		body["breakers"] = breakers
+		if allOpen {
+			body["status"] = "unhealthy: every shard breaker open"
+			writeJSON(w, http.StatusServiceUnavailable, body)
+			return
+		}
+		// Durability trouble degrades (200, but the status says so — load
+		// balancers keep routing, operators get paged): failed journal
+		// appends mean writes are being refused, and replication lag past
+		// the threshold means a failover now would lose that much
+		// acknowledged state in async mode.
+		if p := s.persist; p != nil {
+			if n := p.journalErrors.Load(); n > 0 {
+				trouble = append(trouble, fmt.Sprintf("%d journal errors", n))
+			}
+			trouble = append(trouble, s.repl.replHealth()...)
+		}
 	}
 	if len(trouble) > 0 {
 		body["status"] = "degraded: " + strings.Join(trouble, "; ")

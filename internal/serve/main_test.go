@@ -2,6 +2,7 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"dmc/internal/leak"
 )
@@ -9,6 +10,10 @@ import (
 // TestMain fails the package when a test leaks server goroutines (wave
 // workers, session queues, handler connections): forgetting Close here
 // contaminates every later test's timing.
+//
+// Followers reopen a failed replication stream after 5 ms instead of
+// the production backoff, so tests that break streams stay fast.
 func TestMain(m *testing.M) {
+	replRetry = 5 * time.Millisecond
 	leak.VerifyTestMain(m)
 }

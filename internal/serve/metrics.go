@@ -145,7 +145,10 @@ func (m *shardMetrics) quantile(q float64) time.Duration {
 
 // ShardMetrics is one shard's snapshot on the /metrics wire.
 type ShardMetrics struct {
-	Shard    int `json:"shard"`
+	Shard int `json:"shard"`
+	// Sessions counts the shard's warm solver slots: sessions that have
+	// solved on this shard's pool since they were created or restored.
+	// Estimator sessions solve through their own feed and hold none.
 	Sessions int `json:"sessions"`
 	// QueueDepth is the number of admitted tasks waiting for a wave.
 	QueueDepth int `json:"queue_depth"`
@@ -183,10 +186,11 @@ type ShardMetrics struct {
 }
 
 // DurabilityMetrics is the state-dir section of /metrics (present only
-// with persistence enabled).
+// with persistence enabled). While following it describes the
+// follower's own copy of the journal.
 type DurabilityMetrics struct {
-	// RestoredSessions is how many sessions this process rebuilt from
-	// the state dir at boot.
+	// RestoredSessions is how many sessions the last boot (New, or
+	// Promote) rebuilt from the state dir.
 	RestoredSessions int `json:"restored_sessions"`
 	// Snapshots counts compacting full snapshots written (periodic and
 	// final); JournalBytes/JournalRecords describe the live journal
@@ -208,7 +212,7 @@ type ReplFollowerMetrics struct {
 	ID string `json:"id"`
 	// LagBytes/LagRecords is how far behind the journal tail the
 	// follower's durable cursor is. With Resync set the cursor is from
-	// an older journal incarnation (its next poll takes a snapshot reset
+	// an older journal incarnation (its next message is a snapshot reset
 	// transfer) and the whole current journal counts as lag.
 	LagBytes   int64 `json:"lag_bytes"`
 	LagRecords int64 `json:"lag_records"`
@@ -240,21 +244,49 @@ type ReplicationMetrics struct {
 	FencedPolls   uint64 `json:"fenced_polls"`
 }
 
-// Metrics is the full /metrics document.
-type Metrics struct {
-	UptimeSec float64 `json:"uptime_sec"`
-	// Sessions is the total live session count across shards.
-	Sessions    int                 `json:"sessions"`
-	Shards      []ShardMetrics      `json:"shards"`
-	Durability  *DurabilityMetrics  `json:"durability,omitempty"`
-	Replication *ReplicationMetrics `json:"replication,omitempty"`
+// FollowMetrics is the follower role's replication section of
+// /metrics.
+type FollowMetrics struct {
+	Primary string `json:"primary"`
+	// Epoch is the highest fencing epoch replicated; Fenced reports that
+	// the stream was rejected because the primary's epoch fell behind it.
+	Epoch  uint64 `json:"epoch"`
+	Fenced bool   `json:"fenced"`
+	// RecordsApplied counts records made durable locally (chunks and
+	// reset transfers both); Resets counts full snapshot transfers;
+	// StreamErrors counts streams that failed (each one is reopened
+	// after a short backoff).
+	RecordsApplied uint64 `json:"records_applied"`
+	ChunksApplied  uint64 `json:"chunks_applied"`
+	Resets         uint64 `json:"resets"`
+	StreamErrors   uint64 `json:"stream_errors"`
+	LastError      string `json:"last_error,omitempty"`
 }
 
-// Metrics snapshots every shard's counters.
+// Metrics is the full /metrics document.
+type Metrics struct {
+	// Role is "primary" or "follower".
+	Role      string  `json:"role"`
+	UptimeSec float64 `json:"uptime_sec"`
+	// Sessions is the live session count: the primary's registry, or
+	// the sessions a follower has replicated.
+	Sessions   int                `json:"sessions"`
+	Shards     []ShardMetrics     `json:"shards"`
+	Durability *DurabilityMetrics `json:"durability,omitempty"`
+	// Replication is the primary's section, Follow the follower's.
+	Replication *ReplicationMetrics `json:"replication,omitempty"`
+	Follow      *FollowMetrics      `json:"follow,omitempty"`
+}
+
+// Metrics snapshots the server's counters.
 func (s *Server) Metrics() Metrics {
 	now := time.Now()
+	// Primary-only fields are read only once the role says primary.
+	primary := s.primary.Load()
 	out := Metrics{
+		Role:      roleName(primary),
 		UptimeSec: now.Sub(s.start).Seconds(),
+		Sessions:  s.Sessions(),
 		Shards:    make([]ShardMetrics, len(s.shards)),
 	}
 	for i, sh := range s.shards {
@@ -282,18 +314,26 @@ func (s *Server) Metrics() Metrics {
 		if solves > 0 {
 			sm.WarmHitRate = float64(sm.WarmSolves) / float64(solves)
 		}
-		out.Sessions += sm.Sessions
 		out.Shards[i] = sm
 	}
-	if p := s.persist; p != nil {
+	var p *persister
+	if primary {
+		p = s.persist
+	} else {
+		p = s.fol.persist
+		out.Follow = s.fol.metrics()
+	}
+	if p != nil {
 		out.Durability = &DurabilityMetrics{
-			RestoredSessions: s.restored,
+			RestoredSessions: s.Restored(),
 			Snapshots:        p.snapshots.Load(),
 			JournalBytes:     p.journalBytes.Load(),
 			JournalRecords:   p.journalRecords.Load(),
 			JournalErrors:    p.journalErrors.Load(),
 			TruncatedBytes:   p.truncatedBytes.Load(),
 		}
+	}
+	if primary && p != nil {
 		out.Replication = &ReplicationMetrics{
 			Mode:          s.cfg.ReplAck,
 			Epoch:         s.epoch,

@@ -35,6 +35,7 @@
 // append could land (fsync'd, acknowledged) between its session's
 // capture and the truncate, and a crash would restore the stale
 // capture.
+
 package serve
 
 import (
@@ -127,8 +128,8 @@ type persister struct {
 	// record-granularity twin of journalBytes, for lag metrics).
 	genRecords int64
 	// notify is closed (and cleared) whenever the journal changes —
-	// an append or a reset — waking replication long-polls. Lazily
-	// re-created by waitCh.
+	// an append or a reset — waking the replication senders waiting for
+	// it. Lazily re-created by waitCh.
 	notify chan struct{}
 	// replayedJournalRecords counts journal records seen at boot replay
 	// (openPersister folds it into genRecords once).
@@ -371,7 +372,7 @@ func (p *persister) append(rec *scenario.SnapshotRecord) (replPos, error) {
 	return replPos{gen: p.gen, off: end}, nil
 }
 
-// notifyLocked wakes every replication long-poll waiting for journal
+// notifyLocked wakes every replication sender waiting for journal
 // change; the caller holds p.mu.
 func (p *persister) notifyLocked() {
 	if p.notify != nil {
@@ -496,7 +497,7 @@ func (p *persister) recordsInGen() int64 {
 
 // appendRaw appends pre-framed replication chunks to the journal and
 // fsyncs — the follower's apply path. Unlike append, it always syncs
-// regardless of noSync: a follower's poll cursor is its replication
+// regardless of noSync: the cursor a follower acks is its replication
 // acknowledgement, and acking state its disk does not hold would let a
 // sync-mode primary acknowledge a write that a double failure then
 // loses. On a partial-write error the journal is truncated back to the
@@ -701,7 +702,7 @@ func (p *persister) writeSnapshotLocked(recs []*scenario.SnapshotRecord) error {
 	p.genRecords = 0
 	// The journal reset starts a new incarnation: replication cursors
 	// into the old journal are invalid (the bytes are gone), and the gen
-	// bump is what tells a polling follower to take a reset transfer. It
+	// bump is what tells a streaming follower to take a reset transfer. It
 	// also satisfies sync-ack waiters parked on old-gen positions — the
 	// snapshot the new gen starts from compacts everything they awaited.
 	p.resetGenLocked()
@@ -743,7 +744,7 @@ func (p *persister) close() {
 	if p.jread != nil {
 		_ = p.jread.Close()
 	}
-	// Wake replication long-polls and sync-ack waiters; they re-check
-	// and see closed.
+	// Wake replication senders and sync-ack waiters; they re-check and
+	// see closed.
 	p.notifyLocked()
 }

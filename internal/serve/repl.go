@@ -1,29 +1,35 @@
 // Replication: streaming the durability journal to hot-standby
 // followers, so an acknowledged session state survives not just a
-// process crash (PR 9's journal) but the loss of the node.
+// process crash (the journal) but the loss of the node.
 //
-// Topology: one full-duplex stream per follower. A follower opens it
-// with GET /v1/replicate?gen&off&recs&epoch&id from its durable
-// journal position (gen, off), asking to upgrade to dmc-repl/1; the
-// primary answers 101 Switching Protocols, takes the connection over,
-// and from then on sends messages: a chunk of whole CRC32 frames, a
-// full snapshot+journal reset transfer when the position is not
-// addressable in the current journal incarnation (the follower is new,
-// diverged, or the primary compacted), or an empty heartbeat after
-// replHeartbeat of idle time. Each message is a fixed little-endian
-// header (replMsgHeaderLen) followed by the same framed bytes the
-// journal holds. The follower answers every message with a 32-byte ack
-// carrying its new cursor, written only after the message is fsync'd
-// into its own journal and folded, so the primary reading "ack at
-// (g, o)" knows everything before (g, o) is durable on that follower.
+// Topology: a Server is in one of two roles. The primary serves the
+// full API and streams its journal; a follower (Config.Follow) streams
+// the primary's journal into its own state dir and answers degraded
+// reads until Promote turns it into the primary in place. Each follower
+// holds one full-duplex stream. It opens it with GET
+// /v1/replicate?gen&off&recs&epoch&id from its durable journal position
+// (gen, off), asking to upgrade to dmc-repl/1; the primary answers 101
+// Switching Protocols, takes the connection over, and from then on
+// sends messages: a chunk of whole CRC32 frames, a full
+// snapshot+journal reset transfer when the position is not addressable
+// in the current journal incarnation (the follower is new, diverged,
+// or the primary compacted), or an empty heartbeat after replHeartbeat
+// of idle time. Each message is a fixed little-endian header
+// (replMsgHeaderLen) followed by the same framed bytes the journal
+// holds. The follower answers every message with a 32-byte ack carrying
+// its new cursor, written only after the message is fsync'd into its
+// own journal and folded, so the primary reading "ack at (g, o)" knows
+// everything before (g, o) is durable on that follower.
 //
 // One message is in flight per stream: the primary reads the journal
 // for the next message only after the previous one's ack, so
 // everything appended meanwhile rides in one chunk — the follower's
 // fsync batches itself. The sender otherwise sleeps until the journal
 // changes. A follower that hears nothing for replDeadline (a few
-// heartbeats) drops the stream and reconnects after RetryInterval; a
+// heartbeats) drops the stream and reconnects after replRetry; a
 // primary prunes a follower whose acks stopped for staleFollowerAfter.
+// A follower names itself by hostname and absolute state dir, so every
+// follower of one primary has its own entry in the follower table.
 //
 // Ack modes: async (default) acknowledges writes once locally
 // journaled; sync withholds the 2xx until at least one follower's
@@ -46,8 +52,8 @@
 // a session mutex, or replState.mu. The sender reads journal bytes
 // under the persister's own mutex (that mutex exists to serialize file
 // IO) and writes to the network after release; the follower parses and
-// validates a message before touching its own journal, and its
-// connection mutex only guards the handle that halt closes.
+// validates a message before touching its own journal.
+
 package serve
 
 import (
@@ -61,6 +67,8 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -343,8 +351,13 @@ func (r *replState) replHealth() []string {
 // handleReplicate is the primary's side of the stream: it checks one
 // follower's handshake, upgrades the connection, and streams until the
 // follower goes away, fences this primary, or replication shuts down.
-// Registered only when persistence is on.
+// Registered only when persistence is on; a follower answers 503 until
+// it is promoted.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
+	if !s.primary.Load() {
+		writeErr(w, http.StatusServiceUnavailable, "serve: this node is a follower; replicate from the primary")
+		return
+	}
 	if s.closed.Load() || s.repl.ctx.Err() != nil {
 		writeErr(w, http.StatusServiceUnavailable, "serve: shutting down")
 		return
@@ -608,53 +621,20 @@ func parseFrames(data []byte) ([]*scenario.SnapshotRecord, error) {
 	return out, nil
 }
 
-// FollowerConfig configures a hot-standby Follower.
-type FollowerConfig struct {
-	// Primary is the primary's base URL (e.g. http://10.0.0.1:8080).
-	Primary string
-	// StateDir is the follower's own state dir; the replicated stream is
-	// journaled here with the same format and guarantees as the
-	// primary's, so promotion is just booting a Server from it.
-	StateDir string
-	// ID names this follower in the primary's follower table and
-	// metrics. Followers of one primary need distinct IDs: two that
-	// share one also share a table entry, and their lag and health
-	// overwrite each other. Empty defaults to "follower".
-	ID string
-	// RetryInterval is the backoff before reopening the stream after it
-	// failed, including after the primary fell silent past the
-	// heartbeat deadline. Zero means 500ms.
-	RetryInterval time.Duration
-	// Client overrides the HTTP client that opens the stream (tests).
-	// Nil means a dedicated client with no overall timeout: the stream
-	// is long-lived and keeps its own heartbeat deadline.
-	Client *http.Client
-	// OnPromote, when set, is invoked by the follower's POST /v1/promote
-	// admin endpoint. The callback owns the actual promotion (typically
-	// Follower.Promote plus swapping HTTP handlers) so the process
-	// embedding the follower controls the order.
-	OnPromote func() error
-}
+// replRetry is the follower's backoff before reopening a stream that
+// failed, including after the primary fell silent past replDeadline. A
+// variable only so tests can shorten it.
+var replRetry = 500 * time.Millisecond
 
-func (c FollowerConfig) withDefaults() FollowerConfig {
-	if c.ID == "" {
-		c.ID = "follower"
-	}
-	if c.RetryInterval == 0 {
-		c.RetryInterval = 500 * time.Millisecond
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
-	return c
-}
-
-// Follower is a hot standby: it streams the primary's journal into its
-// own state dir (same durability guarantees) and serves degraded
-// read-only answers from the replicated last-good results. Promote
-// turns it into a full Server with a bumped fencing epoch.
-type Follower struct {
-	cfg     FollowerConfig
+// follower is the follower role's replication client: it streams the
+// primary's journal into its own state dir (same durability guarantees
+// as the primary's, so promotion is booting the primary role from it)
+// and keeps the fold map that degraded answers are served from.
+type follower struct {
+	primary string
+	// id names this follower in the primary's follower table: hostname
+	// plus the absolute state dir, which no two live followers share.
+	id      string
 	persist *persister
 
 	// smu guards the applied in-memory state (the degraded serving
@@ -669,72 +649,62 @@ type Follower struct {
 	cm     sync.Mutex
 	cursor replPos
 
-	// connMu guards the open stream, so halt can close it and unblock
-	// the stream's read; halted refuses a stream opened after that.
-	connMu sync.Mutex
-	conn   io.Closer
-	halted bool
-
 	// buf is the message body buffer the stream loop reuses.
 	buf []byte
 
+	// ctx ends with halt, which also closes the open stream.
 	ctx    context.Context
 	cancel context.CancelFunc
-	stop   chan struct{}
 	done   chan struct{}
-	once   sync.Once
 
 	fenced  atomic.Bool
 	em      sync.Mutex
 	lastErr error
 
-	records    atomic.Uint64
-	chunks     atomic.Uint64
-	resets     atomic.Uint64
-	pollErrors atomic.Uint64
+	records      atomic.Uint64
+	chunks       atomic.Uint64
+	resets       atomic.Uint64
+	streamErrors atomic.Uint64
 }
 
-// NewFollower opens the follower's state dir (replaying whatever a
-// previous incarnation already replicated) and starts the stream loop.
-func NewFollower(cfg FollowerConfig) (*Follower, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Primary == "" || cfg.StateDir == "" {
-		return nil, fmt.Errorf("serve: follower requires a primary URL and a state dir")
+// newFollower opens the follower's state dir, replaying whatever a
+// previous incarnation already replicated; New starts its run loop.
+func newFollower(primary, dir string) (*follower, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: state dir: %w", err)
 	}
-	p, state, shadow, err := openPersister(cfg.StateDir, 0, false)
+	host, _ := os.Hostname()
+	p, state, shadow, err := openPersister(dir, 0, false)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	f := &Follower{
-		cfg:     cfg,
-		persist: p,
-		state:   state,
-		shadow:  shadow,
-		ctx:     ctx,
-		cancel:  cancel,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
 	// The cursor deliberately starts at zero, not at the local journal
 	// tail: local offsets are this incarnation's coordinates, not the
 	// primary's. The first message is therefore a reset transfer — which
 	// is also what safely discards a divergent suffix when a fenced
 	// ex-primary rejoins as a follower on its old state dir.
-	go f.run()
-	return f, nil
+	return &follower{
+		primary: primary,
+		id:      host + ":" + abs,
+		persist: p,
+		state:   state,
+		shadow:  shadow,
+		ctx:     ctx,
+		cancel:  cancel,
+		done:    make(chan struct{}),
+	}, nil
 }
 
 // run is the stream loop: stream until the stream fails, back off,
-// reopen; stop for good when fenced.
-func (f *Follower) run() {
+// reopen; stop for good when fenced or halted.
+func (f *follower) run() {
 	defer close(f.done)
 	for {
 		err := f.stream()
-		select {
-		case <-f.stop:
+		if f.ctx.Err() != nil {
 			return
-		default:
 		}
 		f.setErr(err)
 		if errors.Is(err, ErrFenced) {
@@ -743,49 +713,47 @@ func (f *Follower) run() {
 			f.fenced.Store(true)
 			return
 		}
-		f.pollErrors.Add(1)
+		f.streamErrors.Add(1)
 		select {
-		case <-f.stop:
+		case <-f.ctx.Done():
 			return
-		case <-time.After(f.cfg.RetryInterval):
+		case <-time.After(replRetry):
 		}
 	}
 }
 
-func (f *Follower) setErr(err error) {
+func (f *follower) setErr(err error) {
 	f.em.Lock()
 	f.lastErr = err
 	f.em.Unlock()
 }
 
-// Err returns the most recent replication error (nil while healthy); a
+// err returns the most recent replication error (nil while healthy); a
 // message applied (or a heartbeat heard) since clears it.
-func (f *Follower) Err() error {
+func (f *follower) err() error {
 	f.em.Lock()
 	defer f.em.Unlock()
 	return f.lastErr
 }
 
-// Fenced reports whether the stream was fenced (the primary is a stale
-// failover survivor) and the stream loop has stopped.
-func (f *Follower) Fenced() bool { return f.fenced.Load() }
-
 // stream opens one replication stream from the cursor and applies and
 // acks its messages until it fails; the error says why (never nil).
-func (f *Follower) stream() error {
+func (f *follower) stream() error {
 	f.cm.Lock()
 	pos := f.cursor
 	f.cm.Unlock()
 	u := fmt.Sprintf("%s/v1/replicate?gen=%d&off=%d&recs=%d&epoch=%d&id=%s",
-		strings.TrimRight(f.cfg.Primary, "/"), pos.gen, pos.off, f.persist.recordsInGen(),
-		f.persist.maxEpoch.Load(), url.QueryEscape(f.cfg.ID))
+		strings.TrimRight(f.primary, "/"), pos.gen, pos.off, f.persist.recordsInGen(),
+		f.persist.maxEpoch.Load(), url.QueryEscape(f.id))
 	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Connection", "Upgrade")
 	req.Header.Set("Upgrade", replProto)
-	resp, err := f.cfg.Client.Do(req)
+	// The stream is long-lived and keeps its own heartbeat deadline, so
+	// the client has no overall timeout.
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("serve: replication handshake: %w", err)
 	}
@@ -801,11 +769,9 @@ func (f *Follower) stream() error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("serve: replication handshake: primary answered %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	if !f.attach(conn) {
-		conn.Close()
-		return errors.New("serve: follower closed")
-	}
-	defer f.detach(conn)
+	defer conn.Close()
+	// halt closes the connection, unblocking a read or write.
+	defer context.AfterFunc(f.ctx, func() { conn.Close() })()
 
 	// A live primary sends something at least every heartbeat; a read
 	// blocked past the deadline means it fell silent, and closing the
@@ -849,28 +815,9 @@ func (f *Follower) stream() error {
 	}
 }
 
-// attach publishes the open stream so halt can close it; false means
-// halt already ran and the stream must not start.
-func (f *Follower) attach(c io.Closer) bool {
-	f.connMu.Lock()
-	defer f.connMu.Unlock()
-	if f.halted {
-		return false
-	}
-	f.conn = c
-	return true
-}
-
-func (f *Follower) detach(c io.Closer) {
-	f.connMu.Lock()
-	f.conn = nil
-	f.connMu.Unlock()
-	c.Close()
-}
-
 // apply checks one message's epoch, then applies it. A heartbeat has
 // nothing to apply but proves the primary is alive and current.
-func (f *Follower) apply(m replMsg, body []byte) error {
+func (f *follower) apply(m replMsg, body []byte) error {
 	if known := f.persist.maxEpoch.Load(); m.epoch < known {
 		return fmt.Errorf("%w (primary epoch %d, known epoch %d)", ErrFenced, m.epoch, known)
 	}
@@ -890,7 +837,7 @@ func (f *Follower) apply(m replMsg, body []byte) error {
 // applyChunk validates, persists, then folds one journal chunk. That
 // order is the ack invariant: the cursor (and so the position the ack
 // reports) only moves after appendRaw's fsync returned.
-func (f *Follower) applyChunk(body []byte, next replPos, repoch uint64) error {
+func (f *follower) applyChunk(body []byte, next replPos, repoch uint64) error {
 	recs, err := parseFrames(body)
 	if err != nil {
 		return err
@@ -909,7 +856,7 @@ func (f *Follower) applyChunk(body []byte, next replPos, repoch uint64) error {
 
 // applyReset replaces the follower's entire state with a transferred
 // snapshot + journal.
-func (f *Follower) applyReset(snap, jour []byte, next replPos, repoch uint64) error {
+func (f *follower) applyReset(snap, jour []byte, next replPos, repoch uint64) error {
 	snapRecs, err := parseFrames(snap)
 	if err != nil {
 		return fmt.Errorf("serve: reset transfer snapshot: %w", err)
@@ -949,7 +896,7 @@ func (f *Follower) applyReset(snap, jour []byte, next replPos, repoch uint64) er
 }
 
 // fold applies persisted records to the in-memory state.
-func (f *Follower) fold(recs []*scenario.SnapshotRecord, repoch uint64) {
+func (f *follower) fold(recs []*scenario.SnapshotRecord, repoch uint64) {
 	maxEpoch := repoch
 	f.smu.Lock()
 	for _, rec := range recs {
@@ -967,176 +914,60 @@ func (f *Follower) fold(recs []*scenario.SnapshotRecord, repoch uint64) {
 	}
 }
 
-func (f *Follower) advance(next replPos) {
+func (f *follower) advance(next replPos) {
 	f.cm.Lock()
 	f.cursor = next
 	f.cm.Unlock()
 }
 
-// Sessions returns the replicated live session count.
-func (f *Follower) Sessions() int {
+// sessions returns the replicated live session count.
+func (f *follower) sessions() int {
 	f.smu.RLock()
 	defer f.smu.RUnlock()
 	return len(f.state)
 }
 
-// Epoch returns the highest fencing epoch this follower has seen.
-func (f *Follower) Epoch() uint64 { return f.persist.maxEpoch.Load() }
-
 // halt stops the stream loop — closing the open stream so a blocked
-// read returns — and closes the state dir. Idempotent.
-func (f *Follower) halt() {
-	f.once.Do(func() {
-		f.connMu.Lock()
-		f.halted = true
-		c := f.conn
-		f.connMu.Unlock()
-		close(f.stop)
-		f.cancel()
-		if c != nil {
-			c.Close()
-		}
-	})
+// read returns — and closes the state dir, whose files stay as the
+// stream left them. Idempotent.
+func (f *follower) halt() {
+	f.cancel()
 	<-f.done
 	f.persist.close()
 }
 
-// Close stops the follower. The replicated state dir stays on disk,
-// ready for a later NewFollower or promotion via New.
-func (f *Follower) Close() { f.halt() }
-
-// Promote turns the standby into the primary: the stream loop stops, the
-// state dir closes, and a full Server boots from it with Config.Promote
-// set — replaying everything replicated, bumping the fencing epoch past
-// every epoch in the stream, and durably stamping the bump before
-// serving. cfg's replication and durability fields apply to the new
-// primary; StateDir and Promote are overridden. On error the follower
-// is already stopped — failover must be retried, not resumed.
-func (f *Follower) Promote(cfg Config) (*Server, error) {
-	f.halt()
-	cfg.StateDir = f.cfg.StateDir
-	cfg.Promote = true
-	return New(cfg)
-}
-
-// FollowerMetrics is the follower's /metrics document.
-type FollowerMetrics struct {
-	Primary  string `json:"primary"`
-	Sessions int    `json:"sessions"`
-	// Epoch is the highest fencing epoch seen; Fenced reports that the
-	// stream was rejected because the primary's epoch fell behind it.
-	Epoch  uint64 `json:"epoch"`
-	Fenced bool   `json:"fenced"`
-	// RecordsApplied counts records made durable locally (chunks and
-	// reset transfers both); Resets counts full snapshot transfers;
-	// PollErrors counts streams that failed (each one is reopened after
-	// RetryInterval).
-	RecordsApplied uint64 `json:"records_applied"`
-	ChunksApplied  uint64 `json:"chunks_applied"`
-	Resets         uint64 `json:"resets"`
-	PollErrors     uint64 `json:"poll_errors"`
-	JournalBytes   int64  `json:"journal_bytes"`
-	LastError      string `json:"last_error,omitempty"`
-}
-
-// Metrics snapshots the follower's counters.
-func (f *Follower) Metrics() FollowerMetrics {
-	m := FollowerMetrics{
-		Primary:        f.cfg.Primary,
-		Sessions:       f.Sessions(),
-		Epoch:          f.Epoch(),
+// metrics snapshots the follower's counters.
+func (f *follower) metrics() *FollowMetrics {
+	m := &FollowMetrics{
+		Primary:        f.primary,
+		Epoch:          f.persist.maxEpoch.Load(),
 		Fenced:         f.fenced.Load(),
 		RecordsApplied: f.records.Load(),
 		ChunksApplied:  f.chunks.Load(),
 		Resets:         f.resets.Load(),
-		PollErrors:     f.pollErrors.Load(),
-		JournalBytes:   f.persist.journalBytes.Load(),
+		StreamErrors:   f.streamErrors.Load(),
 	}
-	if err := f.Err(); err != nil {
+	if err := f.err(); err != nil {
 		m.LastError = err.Error()
 	}
 	return m
 }
 
-// Handler returns the follower's read-only HTTP API: degraded solve
-// answers from replicated last-good results, metrics, health, and the
-// promotion admin endpoint. Mutating endpoints answer 503 — a standby
-// accepting writes would fork the fleet's state.
-func (f *Follower) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", f.handleSolve)
-	mux.HandleFunc("POST /v1/observe", f.handleReadOnly)
-	mux.HandleFunc("DELETE /v1/session/{id}", f.handleReadOnly)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, f.Metrics())
-	})
-	mux.HandleFunc("GET /healthz", f.handleHealth)
-	mux.HandleFunc("POST /v1/promote", f.handlePromote)
-	return mux
-}
-
-func (f *Follower) handleReadOnly(w http.ResponseWriter, r *http.Request) {
-	writeErr(w, http.StatusServiceUnavailable, "serve: read-only follower; write to the primary")
-}
-
-// handleSolve serves the degraded path only: a known session's
-// replicated last-good strategy, marked degraded. A follower has no
-// solver fleet — anything it cannot answer from replicated state is the
-// primary's job.
-func (f *Follower) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req scenario.SolveRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.SessionID == "" {
-		writeErr(w, http.StatusServiceUnavailable, "serve: read-only follower cannot run one-shot solves; write to the primary")
-		return
-	}
-	f.smu.RLock()
-	st := f.state[req.SessionID]
-	f.smu.RUnlock()
-	if st == nil || st.LastGood == nil {
-		writeErr(w, http.StatusServiceUnavailable, "serve: follower has no replicated answer for session %q", req.SessionID)
-		return
-	}
-	writeJSON(w, http.StatusOK, scenario.SolveResponse{
-		SessionID: req.SessionID,
-		Resolved:  false,
-		Result:    st.LastGood,
-		Degraded:  true,
-	})
-}
-
-func (f *Follower) handleHealth(w http.ResponseWriter, r *http.Request) {
-	var trouble []string
+// trouble reports what degrades the follower's /healthz: a fenced or a
+// stalled stream.
+func (f *follower) trouble() []string {
 	if f.fenced.Load() {
-		trouble = append(trouble, "replication fenced: primary is a stale failover survivor")
-	} else if err := f.Err(); err != nil {
-		trouble = append(trouble, fmt.Sprintf("replication stalled: %v", err))
+		return []string{"replication fenced: primary is a stale failover survivor"}
 	}
-	body := map[string]any{"status": "ok", "role": "follower", "epoch": f.Epoch(), "sessions": f.Sessions()}
-	if len(trouble) > 0 {
-		body["status"] = "degraded: " + strings.Join(trouble, "; ")
+	if err := f.err(); err != nil {
+		return []string{fmt.Sprintf("replication stalled: %v", err)}
 	}
-	writeJSON(w, http.StatusOK, body)
+	return nil
 }
 
-// handlePromote is the failover admin endpoint. The embedding process
-// (cmd/dmcd) supplies OnPromote, which runs Follower.Promote and swaps
-// the HTTP handlers; without one the endpoint reports the follower
-// cannot self-promote.
-func (f *Follower) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if f.cfg.OnPromote == nil {
-		writeErr(w, http.StatusNotImplemented, "serve: this follower has no promotion hook; restart it with -promote instead")
-		return
-	}
-	if err := f.cfg.OnPromote(); err != nil {
-		writeErr(w, http.StatusInternalServerError, "serve: promotion failed: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "promoted"})
+// lastState returns a replicated session's state, or nil.
+func (f *follower) lastState(id string) *scenario.SessionState {
+	f.smu.RLock()
+	defer f.smu.RUnlock()
+	return f.state[id]
 }

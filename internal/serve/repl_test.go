@@ -37,7 +37,7 @@ func TestReplicationOneStreamPerFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	fol := newTestFollower(t, ts.URL, t.TempDir())
+	fol := newTestFollower(t, Config{Shards: 1}, ts.URL, t.TempDir())
 	defer func() { fol.Close(); ts.Close(); srv.Close() }()
 
 	rng := rand.New(rand.NewPCG(16, 1))
@@ -54,9 +54,9 @@ func TestReplicationOneStreamPerFollower(t *testing.T) {
 	if m.ChunksServed == 0 || m.ChunksServed > n {
 		t.Errorf("chunks served %d for %d writes, want 1..%d", m.ChunksServed, n, n)
 	}
-	fol.cm.Lock()
-	got := fol.cursor
-	fol.cm.Unlock()
+	fol.fol.cm.Lock()
+	got := fol.fol.cursor
+	fol.fol.cm.Unlock()
 	if tail := srv.persist.cursor(); got != tail {
 		t.Errorf("follower cursor %+v, primary tail %+v", got, tail)
 	}
@@ -72,7 +72,7 @@ func TestHeartbeatKeepsIdleFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	fol := newTestFollower(t, ts.URL, t.TempDir())
+	fol := newTestFollower(t, Config{Shards: 1}, ts.URL, t.TempDir())
 	defer func() { fol.Close(); ts.Close(); srv.Close() }()
 
 	rng := rand.New(rand.NewPCG(16, 2))
@@ -90,7 +90,7 @@ func TestHeartbeatKeepsIdleFollower(t *testing.T) {
 	if m.StreamsOpened != 1 {
 		t.Errorf("idle stream reopened: %d streams", m.StreamsOpened)
 	}
-	if err := fol.Err(); err != nil {
+	if err := fol.fol.err(); err != nil {
 		t.Errorf("idle follower reports an error: %v", err)
 	}
 }
@@ -120,13 +120,13 @@ func TestFollowerReconnectsAfterSilentPrimary(t *testing.T) {
 		conn.Write([]byte("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " + replProto + "\r\nConnection: Upgrade\r\n\r\n"))
 		<-quit
 	}))
-	fol := newTestFollower(t, ts.URL, t.TempDir())
+	fol := newTestFollower(t, Config{Shards: 1}, ts.URL, t.TempDir())
 	defer func() { close(quit); fol.Close(); ts.Close() }()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for handshakes.Load() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never reopened its stream (handshakes %d, err %v)", handshakes.Load(), fol.Err())
+			t.Fatalf("follower never reopened its stream (handshakes %d, err %v)", handshakes.Load(), fol.fol.err())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -137,7 +137,7 @@ func TestFollowerReconnectsAfterSilentPrimary(t *testing.T) {
 	if gap > 20*replDeadline() {
 		t.Errorf("follower took %v to reopen, deadline %v", gap, replDeadline())
 	}
-	if err := fol.Err(); err == nil || !strings.Contains(err.Error(), "no message from the primary") {
+	if err := fol.fol.err(); err == nil || !strings.Contains(err.Error(), "no message from the primary") {
 		t.Errorf("follower error after a silent primary = %v, want the missed deadline", err)
 	}
 }
@@ -237,7 +237,7 @@ func FuzzReplStream(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer p.close()
-		fol := &Follower{persist: p, state: state, shadow: shadow}
+		fol := &follower{persist: p, state: state, shadow: shadow}
 		jpath, spath := filepath.Join(dir, journalFile), filepath.Join(dir, snapshotFile)
 		br := bufio.NewReader(bytes.NewReader(data))
 		var hdr [replMsgHeaderLen]byte

@@ -470,3 +470,37 @@ func TestSnapshotCompactionKeepsAckedState(t *testing.T) {
 		t.Errorf("restored binding is not the last acknowledged solve\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestMetricsSessionsCountsLiveSessions: /metrics "sessions" is the
+// live session count, estimator sessions and restored-but-unsolved ones
+// included — not the number of warm solver slots, which estimator
+// sessions (solving through their own feed) and restored sessions
+// (before their first solve) never take.
+func TestMetricsSessionsCountsLiveSessions(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 1, StateDir: dir}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	rng := rand.New(rand.NewPCG(17, 3))
+	solveOK(t, ts.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: testNetwork(rng, 2)}, SessionID: "plain"})
+	for _, id := range []string{"est-a", "est-b"} {
+		solveOK(t, ts.URL, scenario.SolveRequest{Solve: scenario.Solve{Network: testNetwork(rng, 2)}, SessionID: id, Estimator: true})
+	}
+	if m := metricsFor(t, ts.URL); m.Sessions != 3 || srv.Sessions() != 3 {
+		t.Errorf("3 live sessions (2 estimator): /metrics sessions %d, Sessions() %d", m.Sessions, srv.Sessions())
+	}
+	ts.Close()
+	srv.Close()
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer srv2.Close()
+	if m := srv2.Metrics(); m.Sessions != 3 || srv2.Sessions() != 3 {
+		t.Errorf("3 restored sessions: /metrics sessions %d, Sessions() %d", m.Sessions, srv2.Sessions())
+	}
+}

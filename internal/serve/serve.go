@@ -17,6 +17,10 @@
 // with load and an idle shard solves on arrival. Estimator sessions
 // route through their Adaptor instead, which re-solves only when the
 // fed estimates drift.
+//
+// Roles: a Server is the primary, or — with Config.Follow — a follower
+// that replicates a primary's journal into its own state dir, answers
+// degraded reads, and is promoted to primary in place (repl.go).
 package serve
 
 import (
@@ -115,6 +119,12 @@ type Config struct {
 	// it. A rejoining stale primary's stream is then rejected by every
 	// replica that saw the new epoch. Requires StateDir.
 	Promote bool
+	// Follow, the primary's base URL (e.g. http://10.0.0.1:7117), boots
+	// this server in the follower role: it streams the primary's journal
+	// into StateDir, answers solves for replicated sessions from their
+	// last good result (marked degraded), refuses writes, and becomes the
+	// primary in place on Promote. Requires StateDir; excludes Promote.
+	Follow string
 }
 
 func (c Config) withDefaults() Config {
@@ -294,11 +304,27 @@ type shard struct {
 
 // Server is the online solver service. Create with New, serve HTTP via
 // Handler, stop with Close. Safe for concurrent use.
+//
+// A server is in one of two roles. The primary serves the full API; a
+// follower (Config.Follow) replicates from a primary and serves
+// degraded reads until Promote makes it the primary in place. The
+// primary-only fields below (the sessions registry, persist, stateSeq,
+// epoch, repl) are written by boot before primary is set, and read only
+// after primary has been loaded true.
 type Server struct {
 	cfg    Config
 	shards []*shard
 	tcache *core.TimeoutCache
 	start  time.Time
+
+	// primary publishes the role: false while following. roleMu
+	// serializes Promote with Close and QuiesceReplication, so neither
+	// observes a half-promoted server.
+	primary atomic.Bool
+	roleMu  sync.Mutex
+	// fol is the follower role's replication client (nil unless booted
+	// with Config.Follow). It stays after promotion, halted.
+	fol *follower
 
 	smu      sync.RWMutex
 	sessions map[string]*session
@@ -311,16 +337,16 @@ type Server struct {
 	// persist is the durability layer (nil without Config.StateDir);
 	// stateSeq orders its records (seeded past the replayed maximum so
 	// new records always outrank restored ones), restored counts the
-	// sessions reconstructed at boot.
+	// sessions reconstructed from the state dir at the last boot (New,
+	// or Promote).
 	persist  *persister
 	stateSeq atomic.Uint64
-	restored int
+	restored atomic.Int64
 
 	// epoch is this primary's fencing term (see scenario.SnapshotRecord
 	// .Epoch): the highest epoch replayed from the state dir, plus one
-	// when Config.Promote booted this server as a failover's winner.
-	// Immutable after New — promotion always boots a new Server — so
-	// reads need no lock.
+	// when this server was booted or promoted as a failover's winner.
+	// Written by boot before the role is published, immutable after.
 	epoch uint64
 	// repl tracks replication followers and sync-mode acknowledgement
 	// waiters (nil without persistence).
@@ -346,9 +372,21 @@ func (s *Server) logPanic(sp *SolverPanic) {
 // resumes from the restored last-good strategies, and the first solve
 // per session re-primes its warm solver (solver warmth is deliberately
 // not persisted; it returns after one solve). New fails when the state
-// dir is unusable or holds records from a newer schema version.
+// dir is unusable or holds records from a newer schema version. With
+// Config.Follow set it instead opens the state dir as a follower and
+// starts streaming from the primary; the shard workers start only when
+// Promote boots the primary role.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if cfg.ReplAck != ReplAckAsync && cfg.ReplAck != ReplAckSync {
+		return nil, fmt.Errorf("serve: unknown replication ack mode %q (want %q or %q)", cfg.ReplAck, ReplAckAsync, ReplAckSync)
+	}
+	if cfg.StateDir == "" && (cfg.ReplAck == ReplAckSync || cfg.Promote || cfg.Follow != "") {
+		return nil, fmt.Errorf("serve: replication requires a state dir")
+	}
+	if cfg.Follow != "" && cfg.Promote {
+		return nil, fmt.Errorf("serve: Follow and Promote are mutually exclusive: Promote boots a former follower's state dir as the new primary")
+	}
 	s := &Server{
 		cfg:      cfg,
 		shards:   make([]*shard, cfg.Shards),
@@ -357,78 +395,145 @@ func New(cfg Config) (*Server, error) {
 		sessions: make(map[string]*session),
 	}
 	for i := range s.shards {
-		sh := &shard{
+		s.shards[i] = &shard{
 			idx:  i,
 			pool: core.NewWarmPool(),
 			reqs: make(chan *task, cfg.MaxQueue),
 			stop: make(chan struct{}),
 			brk:  breaker{threshold: cfg.BreakerThreshold, cooldown: cfg.BreakerCooldown},
 		}
-		s.shards[i] = sh
 	}
-	if cfg.ReplAck != ReplAckAsync && cfg.ReplAck != ReplAckSync {
-		return nil, fmt.Errorf("serve: unknown replication ack mode %q (want %q or %q)", cfg.ReplAck, ReplAckAsync, ReplAckSync)
-	}
-	if cfg.StateDir == "" && (cfg.ReplAck == ReplAckSync || cfg.Promote) {
-		return nil, fmt.Errorf("serve: replication requires a state dir")
-	}
-	if cfg.StateDir != "" {
-		p, state, _, err := openPersister(cfg.StateDir, cfg.SnapshotBytes, cfg.JournalNoSync)
-		if err != nil {
+	if cfg.Follow == "" {
+		if err := s.boot(cfg.Promote); err != nil {
 			return nil, err
 		}
-		s.persist = p
-		s.stateSeq.Store(p.maxSeq.Load())
-		s.epoch = p.maxEpoch.Load()
-		if cfg.Promote {
-			s.epoch++
+		return s, nil
+	}
+	f, err := newFollower(cfg.Follow, cfg.StateDir)
+	if err != nil {
+		return nil, err
+	}
+	s.fol = f
+	s.restored.Store(int64(len(f.state)))
+	go f.run()
+	return s, nil
+}
+
+// boot starts the primary role, for New and for Promote alike: replay
+// the state dir (which also truncates any torn journal suffix),
+// restore its sessions, set the epoch — one past the highest replayed
+// when promoting, stamped durably with a snapshot before anything is
+// served — start the shard workers, and only then publish the role. On
+// error nothing has started and the state dir is closed again.
+func (s *Server) boot(promote bool) error {
+	if s.cfg.StateDir != "" {
+		p, state, _, err := openPersister(s.cfg.StateDir, s.cfg.SnapshotBytes, s.cfg.JournalNoSync)
+		if err != nil {
+			return err
 		}
-		s.repl = newReplState(s)
+		sessions := make(map[string]*session, len(state))
 		for _, st := range state {
-			if err := s.restoreSession(st); err != nil {
+			se, err := s.restoreSession(st)
+			if err != nil {
 				// A record that validated at replay but cannot rebuild its
 				// session (e.g. an estimator network that no longer converts)
 				// is a bug worth failing loudly on: silently dropping it is
 				// exactly the state loss this layer exists to prevent.
 				p.close()
-				return nil, fmt.Errorf("serve: restoring session %q: %w", st.ID, err)
+				return fmt.Errorf("serve: restoring session %q: %w", st.ID, err)
+			}
+			sessions[st.ID] = se
+		}
+		s.smu.Lock()
+		s.sessions = sessions
+		s.smu.Unlock()
+		s.persist = p
+		s.stateSeq.Store(p.maxSeq.Load())
+		s.epoch = p.maxEpoch.Load()
+		s.restored.Store(int64(len(state)))
+		if promote {
+			// Make the epoch bump durable before the first request: the
+			// snapshot rewrites every session record at the new epoch, so a
+			// crash right after promotion still reboots fenced. Failing the
+			// promotion is better than serving with an epoch a crash forgets.
+			s.epoch++
+			err := fpReplPromote.Hit()
+			if err == nil {
+				err = s.snapshotNow()
+			}
+			if err != nil {
+				p.close()
+				return fmt.Errorf("serve: promotion epoch snapshot: %w", err)
 			}
 		}
-		s.restored = len(state)
+		s.repl = newReplState(s)
 	}
 	for _, sh := range s.shards {
 		s.wg.Add(1)
 		go s.runShard(sh)
 	}
-	if cfg.Promote {
-		// Make the epoch bump durable before the first request: the
-		// snapshot rewrites every session record at the new epoch, so a
-		// crash right after promotion still reboots fenced. Failing the
-		// promotion is better than serving with an epoch a crash forgets.
-		if err := fpReplPromote.Hit(); err != nil {
-			s.crash()
-			return nil, fmt.Errorf("serve: promotion: %w", err)
-		}
-		if err := s.snapshotNow(); err != nil {
-			s.crash()
-			return nil, fmt.Errorf("serve: promotion epoch snapshot: %w", err)
-		}
-	}
-	return s, nil
+	s.primary.Store(true)
+	return nil
 }
 
-// Epoch returns the server's fencing epoch (0 without persistence or
-// before any promotion).
-func (s *Server) Epoch() uint64 { return s.epoch }
+// Promote turns a follower-role server into the primary in place: the
+// stream stops, the follower's state dir closes, and boot runs on it
+// with the epoch bumped past every epoch replicated. The handler
+// already serving the follower serves the full API from then on. A
+// server that already is the primary is left unchanged. On error the
+// stream stays stopped and the server keeps answering as a follower;
+// Promote may be retried.
+func (s *Server) Promote() error {
+	s.roleMu.Lock()
+	defer s.roleMu.Unlock()
+	if s.primary.Load() {
+		return nil
+	}
+	if s.closed.Load() {
+		return errClosed
+	}
+	s.fol.halt()
+	if err := s.boot(true); err != nil {
+		s.fol.setErr(fmt.Errorf("promotion failed: %w", err))
+		return err
+	}
+	// The fold map served degraded reads; the registry has replaced it.
+	s.fol.smu.Lock()
+	s.fol.state, s.fol.shadow = nil, nil
+	s.fol.smu.Unlock()
+	log.Printf("serve: promoted to primary at epoch %d; the old primary is fenced", s.epoch)
+	return nil
+}
 
-// Restored returns how many sessions were rebuilt from the state dir.
-func (s *Server) Restored() int { return s.restored }
+// Role reports "primary" or "follower".
+func (s *Server) Role() string { return roleName(s.primary.Load()) }
 
-// restoreSession re-registers one session from its durable record. The
+func roleName(primary bool) string {
+	if primary {
+		return "primary"
+	}
+	return "follower"
+}
+
+// Epoch returns the primary's fencing epoch (0 without persistence or
+// before any promotion), or, while following, the highest epoch
+// replicated so far.
+func (s *Server) Epoch() uint64 {
+	if s.primary.Load() {
+		return s.epoch
+	}
+	return s.fol.persist.maxEpoch.Load()
+}
+
+// Restored returns how many sessions the last boot rebuilt from the
+// state dir.
+func (s *Server) Restored() int { return int(s.restored.Load()) }
+
+// restoreSession rebuilds one session from its durable record. The
 // registration is cheap — no solver work happens until the session's
 // first request, whose solve re-primes the warm pool from the restored
 // estimates.
-func (s *Server) restoreSession(st *scenario.SessionState) error {
+func (s *Server) restoreSession(st *scenario.SessionState) (*session, error) {
 	binding := st.Solve
 	se := &session{
 		id:       st.ID,
@@ -439,22 +544,21 @@ func (s *Server) restoreSession(st *scenario.SessionState) error {
 	if st.Estimator {
 		net, err := binding.Network.ToNetwork()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ad, err := estimate.NewAdaptor(net)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if s.cfg.EstimatorRelTol > 0 {
 			ad.RelTol = s.cfg.EstimatorRelTol
 		}
 		if err := ad.Restore(estimatesFromWire(st.Estimates)); err != nil {
-			return err
+			return nil, err
 		}
 		se.adaptor = ad
 	}
-	s.sessions[st.ID] = se
-	return nil
+	return se, nil
 }
 
 // estimatesToWire copies adaptor counters into the snapshot schema.
@@ -676,8 +780,12 @@ func (s *Server) DropSession(id string) error {
 	return nil
 }
 
-// Sessions returns the live session count.
+// Sessions returns the live session count: the registry's as primary,
+// the replicated count while following.
 func (s *Server) Sessions() int {
+	if !s.primary.Load() {
+		return s.fol.sessions()
+	}
 	s.smu.RLock()
 	defer s.smu.RUnlock()
 	return len(s.sessions)
@@ -766,22 +874,11 @@ func splitmix64(x uint64) uint64 {
 // Close stops the server gracefully: every already-admitted task is
 // still solved (in-flight waves drain), then the shard workers exit.
 // With persistence on, the drain ends with a final full snapshot so a
-// graceful restart is lossless by construction. Requests arriving after
-// Close begin fail with 503. Close is idempotent and safe to call
-// concurrently.
-func (s *Server) Close() {
-	if !s.stop() {
-		return
-	}
-	if s.persist != nil {
-		if err := s.snapshotNow(); err != nil {
-			// Not fatal for durability: everything acknowledged is already
-			// fsync'd in the journal; only the compaction is lost.
-			log.Printf("serve: final snapshot: %v", err)
-		}
-		s.persist.close()
-	}
-}
+// graceful restart is lossless by construction. A follower stops its
+// stream and leaves the replicated state dir as it is. Requests
+// arriving after Close begin fail with 503. Close is idempotent and
+// safe to call concurrently, with Promote too.
+func (s *Server) Close() { s.shutdown(true) }
 
 // QuiesceReplication closes every replication stream and releases
 // pending sync-ack waits without stopping the server: followers see
@@ -789,9 +886,12 @@ func (s *Server) Close() {
 // stop waiting for follower acks (their records are already locally
 // durable). cmd/dmcd calls it as the first step of graceful shutdown,
 // before draining its http.Server, so no write is left waiting on a
-// follower that is about to lose its primary.
+// follower that is about to lose its primary. A follower has nothing
+// to quiesce.
 func (s *Server) QuiesceReplication() {
-	if s.repl != nil {
+	s.roleMu.Lock()
+	defer s.roleMu.Unlock()
+	if s.primary.Load() && s.repl != nil {
 		s.repl.shutdown()
 	}
 }
@@ -801,20 +901,22 @@ func (s *Server) QuiesceReplication() {
 // detector must stay clean), but no final snapshot runs and nothing is
 // flushed beyond what append already made durable — recovery must work
 // from exactly the acknowledged journal.
-func (s *Server) crash() {
-	if !s.stop() {
+func (s *Server) crash() { s.shutdown(false) }
+
+// shutdown flips closed, then stops the role's work: a follower halts
+// its stream, a primary waits out in-flight admissions, drains the
+// shard workers and — with final — writes the closing snapshot. A
+// follower must not snapshot: its registry is empty, so the snapshot
+// would replace the replicated state with nothing.
+func (s *Server) shutdown(final bool) {
+	s.roleMu.Lock()
+	defer s.roleMu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	if s.persist != nil {
-		s.persist.close()
-	}
-}
-
-// stop flips closed, waits out in-flight admissions, and drains the
-// shard workers. Reports false if the server was already stopped.
-func (s *Server) stop() bool {
-	if !s.closed.CompareAndSwap(false, true) {
-		return false
+	if !s.primary.Load() {
+		s.fol.halt()
+		return
 	}
 	// Admission barrier: wait out every enqueue that passed the closed
 	// check before the flag flipped (each holds admitMu shared until its
@@ -835,7 +937,17 @@ func (s *Server) stop() bool {
 		close(sh.stop)
 	}
 	s.wg.Wait()
-	return true
+	if s.persist == nil {
+		return
+	}
+	if final {
+		if err := s.snapshotNow(); err != nil {
+			// Not fatal for durability: everything acknowledged is already
+			// fsync'd in the journal; only the compaction is lost.
+			log.Printf("serve: final snapshot: %v", err)
+		}
+	}
+	s.persist.close()
 }
 
 // runShard is the shard worker: block for a first task, gather what
